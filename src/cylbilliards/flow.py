@@ -127,8 +127,8 @@ class _FlightCylinder:
     coordinates (orthonormal frame of the base, an isometry for distances)."""
 
     __slots__ = (
-        "cyl", "index", "proj", "translation", "radius", "r_sq", "onb",
-        "coord_basis", "coord_inv", "offsets_c", "off_sq", "window_len",
+        "cyl", "index", "proj", "translation", "radius", "r_sq", "onb", "reduce",
+        "offsets_c", "off_sq", "window_len",
     )
 
     def __init__(self, cyl: Cylinder, index: int):
@@ -140,8 +140,7 @@ class _FlightCylinder:
         self.radius = cyl.radius
         self.r_sq = cyl.radius * cyl.radius
         self.onb = lat.subspace_onb
-        self.coord_basis = lat.basis @ lat.subspace_onb.T
-        self.coord_inv = np.linalg.inv(self.coord_basis)
+        self.reduce = lat.reduce
         self.window_len = 2.0 * lat.shortest_norm
         rho = cyl.radius + self.window_len + lat.babai_bound + 1e-6
         offsets_amb = lat.points_in_ball(np.zeros(cyl.ambient_dim), rho)
@@ -186,9 +185,7 @@ def _first_collision(q0: np.ndarray, v: np.ndarray, table: BilliardTable,
         best = None
         runner_arrays = []
         for fd, uc, a, off_u in active:
-            cc = fd.onb @ (q - fd.translation)
-            lam0 = np.rint(cc @ fd.coord_inv)
-            e = cc - lam0 @ fd.coord_basis
+            lam0, e = fd.reduce(fd.onb @ (q - fd.translation))
             b = (float(e @ uc) - off_u)
             gamma = (float(e @ e) - fd.r_sq) - 2.0 * (fd.offsets_c @ e) + fd.off_sq
             disc = b * b - a * gamma
@@ -236,7 +233,7 @@ def _build_event(raw, v: np.ndarray, time_offset: float) -> CollisionEvent:
     vn = float(v @ normal)
     cos_phi = -vn
     shift = np.floor(q_hit_raw)
-    lam_amb = (lam0 @ fd.coord_basis + fd.offsets_c[k_idx]) @ fd.onb - fd.proj @ shift
+    lam_amb = (lam0 + fd.offsets_c[k_idx]) @ fd.onb - fd.proj @ shift
     return CollisionEvent(
         time=time_offset + base + s_rel,
         cylinder_index=fd.index,

@@ -13,7 +13,6 @@ are global conditions the caller must guarantee (see README).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -27,7 +26,7 @@ from .errors import (
     RadiusTooLarge,
     UnknownCylinderIndex,
 )
-from .lattice import ProjectedLattice, hermite_generating_rows
+from .lattice import ProjectedLattice, hermite_generating_rows, integer_rows
 from .linalg import (
     SPAN_RTOL,
     as_matrix,
@@ -123,7 +122,6 @@ class Cylinder:
     base_dim: int
     translation: np.ndarray
     radius: float
-    projected_lattice_basis: np.ndarray
     lattice: ProjectedLattice
 
     @property
@@ -175,7 +173,6 @@ def build_cylinder(integer_generator_basis, translation, radius: float, dim: int
         base_dim=base_dim,
         translation=translation,
         radius=float(radius),
-        projected_lattice_basis=lattice.basis,
         lattice=lattice,
     )
 
@@ -186,13 +183,7 @@ def _base_subspace(generator: LatticeSubspace) -> LatticeSubspace:
     if not generator.integer_basis:
         return LatticeSubspace.from_integer_basis(np.eye(d, dtype=int), d)
     null = rational_nullspace([list(r) for r in generator.integer_basis])
-    int_rows = []
-    for vec in null:
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-        int_rows.append([int(x * denom) for x in vec])
-    int_rows = hermite_generating_rows(int_rows)
+    int_rows = hermite_generating_rows([integer_rows([vec])[0][0] for vec in null])
     return LatticeSubspace.from_integer_basis(int_rows, d)
 
 
@@ -367,34 +358,23 @@ def validate_table(table: BilliardTable, disjoint_budget: int = DISJOINT_BUDGET)
 
 
 def _pair_disjoint(a: Cylinder, b: Cylinder, budget: int) -> str:
-    d = a.ambient_dim
-    gen_rows = [list(r) for r in a.generator.integer_basis] + [
-        list(r) for r in b.generator.integer_basis
-    ]
-    gen_rows = hermite_generating_rows(gen_rows)
-    if len(gen_rows) == d:
-        # Axis subtori differ by a dense set of translates; closures meet.
-        return FAILS
     try:
-        lat = ProjectedLattice.from_generator(gen_rows, d)
-        target = lat.subspace_onb.T @ lat.to_coords(b.translation - a.translation)
-        guess = lat.babai(target)
-        bound = float(np.linalg.norm(guess - target)) + 1e-12
-        pts = lat.points_in_ball(target, bound, max_points=budget)
+        dist = _axis_gap(a, b, budget)
     except BudgetExceeded:
         return UNCHECKED
-    if pts.shape[0] == 0:
-        dist = float(np.linalg.norm(guess - target))
-    else:
-        dist = float(np.min(np.linalg.norm(pts - target, axis=1)))
-    threshold = a.radius + b.radius
-    if dist > threshold + 1e-12:
-        return HOLDS
-    return FAILS
+    return HOLDS if dist > a.radius + b.radius + 1e-12 else FAILS
 
 
 def axis_distance(a: Cylinder, b: Cylinder) -> float:
     """Torus distance between the two axis subtori (0 when they are dense)."""
+    return _axis_gap(a, b)
+
+
+def _axis_gap(a: Cylinder, b: Cylinder, max_points: int | None = None) -> float:
+    """Distance from the translation difference to its nearest translate in
+    the lattice projected along both generator spaces; 0 when the generators
+    together span R^d, so that the axis subtori differ by a dense set of
+    translates. Raises BudgetExceeded past ``max_points`` lattice points."""
     d = a.ambient_dim
     gen_rows = hermite_generating_rows(
         [list(r) for r in a.generator.integer_basis]
@@ -403,9 +383,7 @@ def axis_distance(a: Cylinder, b: Cylinder) -> float:
     if len(gen_rows) == d:
         return 0.0
     lat = ProjectedLattice.from_generator(gen_rows, d)
-    target = lat.subspace_onb.T @ lat.to_coords(b.translation - a.translation)
-    _, dist = lat.nearest(target)
-    return dist
+    return lat.nearest(b.translation - a.translation, max_points)[1]
 
 
 def hard_sphere_subspaces(n_particles: int, spatial_dim: int, reduced: bool) -> list[LatticeSubspace]:

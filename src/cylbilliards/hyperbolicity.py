@@ -19,6 +19,7 @@ cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,8 +343,11 @@ def survey_sufficiency(table: BilliardTable, sample_count: int, duration: float,
 
         work = partial(_survey_one, table, seed=seed, duration=duration, mode=mode,
                        max_events=max_events, band=tangency_band)
+        # One chunk per worker: every chunk carries the table, and each fresh
+        # copy rebuilds its flight data.
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, range(sample_count), chunksize=8))
+            rows = list(pool.map(work, range(sample_count),
+                                 chunksize=math.ceil(sample_count / threads)))
     else:
         rows = [
             _survey_one(table, i, seed=seed, duration=duration, mode=mode,

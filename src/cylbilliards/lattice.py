@@ -11,12 +11,13 @@ flight loop).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import BudgetExceeded
-from .linalg import rational_nullspace, rational_rref, to_fractions
+from .linalg import rational_nullspace, rational_rref
 
 
 def hermite_generating_rows(mat: list[list[int]]) -> list[list[int]]:
@@ -52,6 +53,13 @@ def hermite_generating_rows(mat: list[list[int]]) -> list[list[int]]:
         if m[r][c] != 0:
             r += 1
     return [row for row in m if any(x != 0 for x in row)]
+
+
+def integer_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
+    """Rational rows scaled to integers by the lcm of all their denominators;
+    returns the integer rows and that common scale."""
+    denom = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * denom) for x in row] for row in rows], denom
 
 
 def _gram_schmidt(basis: list[list[Fraction]]):
@@ -204,32 +212,14 @@ class ProjectedLattice:
             basis = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
             onb = np.eye(dim) if subspace_onb is None else subspace_onb
             return cls(basis, onb)
-        b = to_fractions(gens)
-        k = len(b)
-        gram = [[_dot(b[i], b[j]) for j in range(k)] for i in range(k)]
-        gram_inv = _rational_inverse(gram)
-        # P_L = I - B^T (B B^T)^-1 B, columns are rational generators of the lattice.
-        proj_cols: list[list[Fraction]] = []
-        for e in range(dim):
-            col_b = [b[i][e] for i in range(k)]
-            coef = [_dot(gram_inv[i], col_b) for i in range(k)]
-            col = [Fraction(int(e == j)) - sum(coef[i] * b[i][j] for i in range(k))
-                   for j in range(dim)]
-            proj_cols.append(col)
         sub_basis = rational_nullspace(gens)
         m = len(sub_basis)
-        # Coordinates of every generator w.r.t. the rational subspace basis.
+        # Coordinates of every projected unit vector P_L e_j in the rational
+        # subspace basis S: since S P_L = S, they are the columns of (S S^T)^-1 S.
         sub_gram = [[_dot(sub_basis[i], sub_basis[j]) for j in range(m)] for i in range(m)]
-        sub_inv = _rational_inverse(sub_gram)
-        coords = []
-        for col in proj_cols:
-            rhs = [_dot(sub_basis[i], col) for i in range(m)]
-            coords.append([_dot(sub_inv[i], rhs) for i in range(m)])
-        denom = 1
-        for row in coords:
-            for x in row:
-                denom = denom * x.denominator // _gcd(denom, x.denominator)
-        int_rows = [[int(x * denom) for x in row] for row in coords]
+        solved, _ = rational_rref([g + s for g, s in zip(sub_gram, sub_basis)])
+        coords = [[solved[i][m + j] for i in range(m)] for j in range(dim)]
+        int_rows, denom = integer_rows(coords)
         reduced_rows = hermite_generating_rows(int_rows)
         ambient = []
         for row in reduced_rows:
@@ -246,11 +236,16 @@ class ProjectedLattice:
     def to_coords(self, vec: np.ndarray) -> np.ndarray:
         return self.subspace_onb @ np.asarray(vec, dtype=float)
 
+    def reduce(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Babai rounding of subspace coordinates ``y``: the lattice point (in
+        subspace coordinates) and the residual ``y - point``."""
+        point = np.rint(y @ self._coord_inv) @ self._coord_basis
+        return point, y - point
+
     def babai(self, target: np.ndarray) -> np.ndarray:
         """Lattice point near ``target`` by coordinate rounding."""
-        y = self.to_coords(target)
-        c = np.rint(y @ self._coord_inv)
-        return c @ self.basis
+        point, _ = self.reduce(self.to_coords(target))
+        return point @ self.subspace_onb
 
     def points_in_ball(self, center: np.ndarray, radius: float,
                        max_points: int | None = None) -> np.ndarray:
@@ -260,17 +255,17 @@ class ProjectedLattice:
             return np.zeros((0, self.ambient_dim))
         return coeffs @ self.basis
 
-    def nearest(self, target: np.ndarray) -> tuple[np.ndarray, float]:
-        """Closest lattice vector to the subspace component of ``target``."""
-        proj = self.subspace_onb.T @ self.to_coords(target)
-        guess = self.babai(target)
-        bound = float(np.linalg.norm(guess - proj)) + 1e-12
-        pts = self.points_in_ball(proj, bound)
-        if pts.shape[0] == 0:
-            return guess, float(np.linalg.norm(guess - proj))
-        dists = np.linalg.norm(pts - proj, axis=1)
+    def nearest(self, target: np.ndarray,
+                max_points: int | None = None) -> tuple[np.ndarray, float]:
+        """Closest lattice vector to the subspace component of ``target`` and
+        its distance: the Babai point bounds the search ball. Raises
+        BudgetExceeded when that ball holds more than ``max_points`` points."""
+        y = self.to_coords(target)
+        _, resid = self.reduce(y)
+        coeffs = self._enumerate(y, float(np.linalg.norm(resid)) + 1e-12, max_points)
+        dists = np.linalg.norm(coeffs @ self._coord_basis - y, axis=1)
         k = int(np.argmin(dists))
-        return pts[k], float(dists[k])
+        return coeffs[k] @ self.basis, float(dists[k])
 
     def _enumerate(self, y: np.ndarray, radius: float,
                    max_points: int | None = None) -> np.ndarray:
@@ -284,10 +279,10 @@ class ProjectedLattice:
         out: list[list[int]] = []
 
         def recurse(level: int, coeffs: list[int], partial: float, shifts: np.ndarray):
-            if max_points is not None and len(out) > max_points:
-                raise BudgetExceeded(f"ball enumeration exceeded {max_points} points")
             if level < 0:
                 out.append(coeffs[:])
+                if max_points is not None and len(out) > max_points:
+                    raise BudgetExceeded(f"ball enumeration exceeded {max_points} points")
                 return
             center = y_gs[level] - shifts[level]
             budget = r_sq - partial
@@ -308,17 +303,3 @@ class ProjectedLattice:
         recurse(n - 1, [0] * n, 0.0, np.zeros(n))
         return np.array(out, dtype=float) if out else np.zeros((0, n))
 
-
-def _rational_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [mat[i][:] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rref, pivots = rational_rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular over Q")
-    return [row[n:] for row in rref]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

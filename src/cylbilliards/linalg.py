@@ -67,14 +67,6 @@ def nullspace(mat: np.ndarray, rtol: float = RANK_RTOL, rank: int | None = None)
     return vt[r:]
 
 
-def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
-    """Principal angles (radians, ascending) between two row-orthonormal bases."""
-    if basis_a.shape[0] == 0 or basis_b.shape[0] == 0:
-        return np.zeros(0)
-    s = np.linalg.svd(basis_a @ basis_b.T, compute_uv=False)
-    return np.arccos(np.clip(s, -1.0, 1.0))
-
-
 def subspace_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     """Largest principal angle between equal-dimension row-orthonormal bases.
 
@@ -153,19 +145,6 @@ def rational_nullspace(mat, dim: int | None = None) -> list[list[Fraction]]:
             vec[pc] = -rref[r][fc]
         basis.append(vec)
     return basis
-
-
-def rational_solve_least_norm(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Exact solution of mat @ x = rhs, or None when inconsistent."""
-    rows, cols = len(mat), len(mat[0])
-    aug = [mat[i][:] + [rhs[i]] for i in range(rows)]
-    rref, pivots = rational_rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][cols]
-    return x
 
 
 def rational_intersection_dim(basis_a, basis_b) -> int:

@@ -135,9 +135,7 @@ def load_scenario(path) -> Scenario:
     resolved = dict(doc)
     resolved.pop("table_file", None)
     resolved["table"] = table_doc
-    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
-    return Scenario(doc=resolved, table=table, scenario_hash=digest)
+    return Scenario(doc=resolved, table=table, scenario_hash=scenario_hash_of(resolved))
 
 
 def scenario_hash_of(doc: dict) -> str:

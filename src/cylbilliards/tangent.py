@@ -55,44 +55,31 @@ class CollisionOperators:
 
     R: np.ndarray
     V: np.ndarray
-    V_star: np.ndarray
-    V1: np.ndarray
-    V1_star: np.ndarray
     K: np.ndarray
     cos_phi: float
-    forward_gain: np.ndarray  # 2 cos_phi R V* K V
-    inverse_gain: np.ndarray  # 2 cos_phi R V1* K V1
-    normal_gain: np.ndarray   # 2 cos_phi V1* K V1 R
+    gain: np.ndarray  # G = 2 cos_phi R V^T K V
 
 
 def collision_operators(event: CollisionEvent) -> CollisionOperators:
-    """Assemble R, V, V*, V1, V1*, K for a nonsingular event.
+    """Assemble R, V, K and the gain G for a nonsingular event.
 
     V slides vectors onto the boundary tangent plane parallel to the incoming
-    velocity; V1 is the outgoing analogue; K is (P_base - nu nu^T)/r, positive
-    semi-definite with the generator directions in its null space.
+    velocity; K is (P_base - nu nu^T)/r, positive semi-definite with the
+    generator directions in its null space. Since R nu = -nu and K nu = 0,
+    the outgoing slide gives the same gain, so G serves the forward step
+    (dq, dv) -> (R dq, R dv + G dq), its inverse, whose gain is R G R, and
+    the adjoint step on normal vectors.
     """
     cos_phi = event.cos_phi
     if cos_phi <= EPS_TANG:
         raise TangentialEvent(f"cos_phi = {cos_phi:.3e} at event on cylinder {event.cylinder_index}")
     nu = event.normal
-    v_pre = event.v_pre
-    v_post = event.v_post
-    d = nu.shape[0]
-    eye = np.eye(d)
+    eye = np.eye(nu.shape[0])
     R = eye - 2.0 * np.outer(nu, nu)
-    V = eye + np.outer(v_pre, nu) / cos_phi
-    V_star = eye + np.outer(nu, v_pre) / cos_phi
-    V1 = eye - np.outer(v_post, nu) / cos_phi
-    V1_star = eye - np.outer(nu, v_post) / cos_phi
+    V = eye + np.outer(event.v_pre, nu) / cos_phi
     K = (event.cylinder.base_projector - np.outer(nu, nu)) / event.cylinder.radius
-    forward_gain = 2.0 * cos_phi * R @ V_star @ K @ V
-    inverse_gain = 2.0 * cos_phi * R @ V1_star @ K @ V1
-    normal_gain = 2.0 * cos_phi * V1_star @ K @ V1 @ R
-    return CollisionOperators(
-        R=R, V=V, V_star=V_star, V1=V1, V1_star=V1_star, K=K, cos_phi=cos_phi,
-        forward_gain=forward_gain, inverse_gain=inverse_gain, normal_gain=normal_gain,
-    )
+    gain = 2.0 * cos_phi * R @ V.T @ K @ V
+    return CollisionOperators(R=R, V=V, K=K, cos_phi=cos_phi, gain=gain)
 
 
 def free_flight_derivative(tv: TangentVector, t: float) -> TangentVector:
@@ -102,13 +89,10 @@ def free_flight_derivative(tv: TangentVector, t: float) -> TangentVector:
 def collision_derivative(tv: TangentVector, ops: CollisionOperators,
                          inverse: bool = False) -> TangentVector:
     """Apply the collision derivative (or its exact inverse) to one vector."""
+    dq = ops.R @ tv.dq
     if inverse:
-        dq = ops.R @ tv.dq
-        dv = ops.R @ tv.dv - ops.inverse_gain @ tv.dq
-    else:
-        dq = ops.R @ tv.dq
-        dv = ops.R @ tv.dv + ops.forward_gain @ tv.dq
-    return TangentVector(dq, dv)
+        return TangentVector(dq, ops.R @ (tv.dv - ops.gain @ dq))
+    return TangentVector(dq, ops.R @ tv.dv + ops.gain @ tv.dq)
 
 
 # Row-stacked frame versions used by the Lyapunov and neutral-space code.
@@ -119,9 +103,11 @@ def flight_frame(dqs: np.ndarray, dvs: np.ndarray, t: float) -> tuple[np.ndarray
 
 def collide_frame(dqs: np.ndarray, dvs: np.ndarray, ops: CollisionOperators,
                   inverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    # R is symmetric, so row-stacked vectors transform by right-multiplication.
+    dqs_out = dqs @ ops.R
     if inverse:
-        return dqs @ ops.R.T, dvs @ ops.R.T - dqs @ ops.inverse_gain.T
-    return dqs @ ops.R.T, dvs @ ops.R.T + dqs @ ops.forward_gain.T
+        return dqs_out, (dvs - dqs_out @ ops.gain.T) @ ops.R
+    return dqs_out, dvs @ ops.R + dqs @ ops.gain.T
 
 
 def segment_operators(segment: OrbitSegment) -> list[CollisionOperators]:
@@ -175,7 +161,7 @@ def evolve_normal(n: NormalVector, segment: OrbitSegment,
         nv = normal_vector(z, w)
         samples.append((event.time, nv, nv.q_value))
         ops = collision_operators(event)
-        z, w = ops.R @ z - ops.normal_gain @ w, ops.R @ w
+        z, w = ops.R @ z - ops.gain @ w, ops.R @ w
         nv = normal_vector(z, w)
         samples.append((event.time, nv, nv.q_value))
         if rescale:
@@ -263,7 +249,8 @@ def lyapunov_spectrum(x: PhasePoint | None, table: BilliardTable, duration: floa
         t_prev = event.time
         v_cur = event.v_post
         since_renorm += 1
-        if since_renorm >= renorm_interval or abs(dqs).max() > growth_cap:
+        if (since_renorm >= renorm_interval or abs(dqs).max() > growth_cap
+                or abs(dvs).max() > growth_cap):
             dqs, dvs, logs = _renormalize(dqs, dvs, logs, v_cur)
             renorms += 1
             since_renorm = 0

@@ -91,13 +91,13 @@ class TestBuildCylinder:
         assert disk.generator.dim == 0
         # Projected lattice is the full integer lattice.
         assert disk.lattice.shortest_norm == pytest.approx(1.0, abs=1e-15)
-        assert abs(np.linalg.det(disk.projected_lattice_basis)) == pytest.approx(1.0)
+        assert abs(np.linalg.det(disk.lattice.basis)) == pytest.approx(1.0)
 
     def test_axis_aligned_projection(self):
         cyl = build_cylinder([[0, 0, 1]], [0, 0, 0], 0.3, 3)
         assert cyl.base_dim == 2
         # Lattice lives in the e1-e2 plane with unit shortest vector.
-        assert np.max(np.abs(cyl.projected_lattice_basis[:, 2])) < 1e-12
+        assert np.max(np.abs(cyl.lattice.basis[:, 2])) < 1e-12
         assert cyl.lattice.shortest_norm == pytest.approx(1.0, abs=1e-15)
 
     def test_skew_generator_shortest_vector_oracle(self):
@@ -276,6 +276,12 @@ class TestValidateTable:
     def test_budget_zero_reports_unchecked(self, ortho3):
         fresh = validate_table(build_table(ortho3.cylinders), disjoint_budget=0)
         assert fresh.condition_1_3_disjoint == UNCHECKED
+        # A positive budget the enumeration exceeds: ortho3's axes are 0.5
+        # apart along e3, so the nearest-translate ball holds two points.
+        tight = validate_table(build_table(ortho3.cylinders), disjoint_budget=1)
+        assert tight.condition_1_3_disjoint == UNCHECKED
+        roomy = validate_table(build_table(ortho3.cylinders), disjoint_budget=2)
+        assert roomy.condition_1_3_disjoint == HOLDS
         # single-cylinder tables stay vacuously disjoint
         from cylbilliards import build_cylinder as bc
         single = validate_table(build_table([bc([], [0, 0], 0.2, 2)]), disjoint_budget=0)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cylbilliards.errors import BudgetExceeded
 from cylbilliards.lattice import (
     ProjectedLattice,
     hermite_generating_rows,
@@ -82,16 +83,34 @@ def test_points_in_ball_against_brute_force(gen, d):
         assert np.allclose(got_sorted, want, atol=1e-9)
 
 
+# Single generators, and the combined generators of cylinder pairs whose axis
+# distance validate_table and axis_distance compute (ortho3, skew3, wide5).
+NEAREST_CASES = [
+    ([[1, 1, 0]], 3, 6),
+    ([[1, 0, 0], [0, 1, 0]], 3, 6),
+    ([[1, 1, 0], [0, 0, 1]], 3, 6),
+    ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]], 5, 3),
+    ([[0, 0, 1, 0, 0], [0, 0, 0, 1, 1]], 5, 3),
+    ([[0, 0, 0, 1, 1]], 5, 2),
+]
+
+
 def test_nearest_matches_brute_force():
-    lat = ProjectedLattice.from_generator([[1, 1, 0]], 3)
     rng = np.random.default_rng(0)
-    pts = brute_projected_points([[1, 1, 0]], 3, reach=6)
-    for _ in range(20):
-        target = rng.random(3) * 2 - 1
-        target_proj = lat.subspace_onb.T @ (lat.subspace_onb @ target)
-        _, dist = lat.nearest(target)
-        oracle = np.linalg.norm(pts - target_proj, axis=1).min()
-        assert dist == pytest.approx(oracle, abs=1e-12)
+    for gen, d, reach in NEAREST_CASES:
+        lat = ProjectedLattice.from_generator(gen, d)
+        pts = brute_projected_points(gen, d, reach=reach)
+        for _ in range(20):
+            target = rng.random(d) * 2 - 1
+            target_proj = lat.subspace_onb.T @ (lat.subspace_onb @ target)
+            point, dist = lat.nearest(target)
+            oracle = np.linalg.norm(pts - target_proj, axis=1).min()
+            assert dist == pytest.approx(oracle, abs=1e-12)
+            assert np.linalg.norm(point - target_proj) == pytest.approx(oracle, abs=1e-12)
+            # The search ball always holds the Babai point, so a zero budget
+            # is exceeded.
+            with pytest.raises(BudgetExceeded):
+                lat.nearest(target, max_points=0)
 
 
 def test_hermite_rows_preserve_lattice():

@@ -100,6 +100,19 @@ class TestCollisionOperators:
             for a_row in e.cylinder.generator.integer_basis:
                 assert np.max(np.abs(ops.K @ np.array(a_row, dtype=float))) < 1e-12
 
+    def test_gain_matches_outgoing_slide(self, skew3):
+        # With the outgoing slide V1 = I - v_post nu^T / cos_phi, the inverse
+        # gain 2 cos_phi R V1^T K V1 equals R G R and the normal-vector gain
+        # 2 cos_phi V1^T K V1 R equals G.
+        seg = evolve(random_phase_point(skew3, np.random.default_rng(4)), skew3, 20.0)
+        for e in seg.events:
+            ops = collision_operators(e)
+            v1 = np.eye(3) - np.outer(e.v_post, e.normal) / e.cos_phi
+            outgoing = 2.0 * e.cos_phi * v1.T @ ops.K @ v1
+            scale = np.abs(ops.gain).max()
+            assert np.abs(ops.R @ ops.gain @ ops.R - ops.R @ outgoing).max() < 1e-13 * scale
+            assert np.abs(ops.gain - outgoing @ ops.R).max() < 1e-13 * scale
+
     def test_tangential_event_rejected(self, headon_event):
         from dataclasses import replace
 
@@ -311,6 +324,13 @@ class TestLyapunov:
     def test_exponent_sum_vanishes(self, ortho3):
         rep = lyapunov_spectrum(None, ortho3, 400.0, seed=2)
         assert abs(rep.exponent_sum) < 1e-3 * 3
+
+    @pytest.mark.parametrize("seed", [22, 35])
+    def test_exponent_sum_vanishes_when_velocities_grow(self, sinai2, seed):
+        # On these starts the frame's dv rows outgrow its dq rows between
+        # renormalizations; the growth cap must watch both.
+        rep = lyapunov_spectrum(None, sinai2, 300.0, seed=seed)
+        assert abs(rep.exponent_sum) < 1e-4
 
     def test_deterministic_given_seed(self, sinai2):
         a = lyapunov_spectrum(None, sinai2, 200.0, seed=5)
