@@ -28,7 +28,7 @@ from .errors import (
     StartsInsideScatterer,
     TableFormatError,
 )
-from .flow import PhasePoint, evolve, random_phase_point
+from .flow import PhasePoint, evolve, is_singular, random_phase_point
 from .geometry import transitivity_report
 from .hyperbolicity import sufficiency, survey_sufficiency
 from .tableio import (
@@ -138,7 +138,7 @@ def cmd_simulate(scenario: Scenario, args) -> int:
 
 def cmd_qmonitor(scenario: Scenario, args) -> int:
     _, segment = _evolve_from_scenario(scenario, args)
-    if segment.singular_flag is not None and segment.singular_flag.kind != "budget_exceeded":
+    if segment.singular_flag is not None and is_singular(segment.singular_flag.kind):
         return _diag(EXIT_SINGULARITY, f"segment flagged {segment.singular_flag.kind}")
     normal_doc = scenario.get("normal")
     if normal_doc is None:
@@ -167,6 +167,8 @@ def cmd_sufficiency(scenario: Scenario, args) -> int:
         "neutral_basis": np.round(verdict.witness.basis, 15).tolist(),
         "advances": [list(a) for a in verdict.witness.advances],
         "method": verdict.witness.method,
+        "largest_kept_sv": verdict.witness.largest_kept_sv,
+        "smallest_dropped_sv": verdict.witness.smallest_dropped_sv,
         "n_collisions": segment.n_events,
         "symbolic": list(segment.symbolic),
     }

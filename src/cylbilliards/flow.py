@@ -48,6 +48,13 @@ def phase_point(q, v) -> PhasePoint:
     return PhasePoint(q, v / np.linalg.norm(v))
 
 
+def is_singular(kind: str | None) -> bool:
+    """Whether a flag of this kind invalidates the recorded events. Only
+    tangential and double flags do: a budget-truncated segment is an
+    ordinary nonsingular piece of orbit."""
+    return kind in (TANGENTIAL, DOUBLE)
+
+
 @dataclass(frozen=True, eq=False)
 class SingularFlag:
     """kind is "tangential", "double" or "budget_exceeded"; event_index is the
@@ -127,7 +134,7 @@ class _FlightCylinder:
     coordinates (orthonormal frame of the base, an isometry for distances)."""
 
     __slots__ = (
-        "cyl", "index", "proj", "translation", "radius", "r_sq", "onb", "reduce",
+        "cyl", "index", "translation", "radius", "r_sq", "onb", "reduce",
         "offsets_c", "off_sq", "window_len",
     )
 
@@ -135,7 +142,6 @@ class _FlightCylinder:
         lat = cyl.lattice
         self.cyl = cyl
         self.index = index  # 1-based symbolic index
-        self.proj = cyl.base_projector
         self.translation = cyl.translation
         self.radius = cyl.radius
         self.r_sq = cyl.radius * cyl.radius
@@ -233,7 +239,7 @@ def _build_event(raw, v: np.ndarray, time_offset: float) -> CollisionEvent:
     vn = float(v @ normal)
     cos_phi = -vn
     shift = np.floor(q_hit_raw)
-    lam_amb = (lam0 + fd.offsets_c[k_idx]) @ fd.onb - fd.proj @ shift
+    lam_amb = (lam0 + fd.offsets_c[k_idx]) @ fd.onb - fd.cyl.base_projector @ shift
     return CollisionEvent(
         time=time_offset + base + s_rel,
         cylinder_index=fd.index,

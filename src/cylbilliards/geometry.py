@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -133,8 +134,9 @@ class Cylinder:
         """Orthonormal rows spanning the base space."""
         return self.generator.complement_basis
 
-    @property
+    @cached_property
     def base_projector(self) -> np.ndarray:
+        """Orthogonal projector onto the base space, computed once."""
         b = self.base_basis
         return b.T @ b
 

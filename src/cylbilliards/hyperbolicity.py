@@ -9,12 +9,17 @@ neutrality is the exact linear system
     project_base_k(W_k - alpha_k * v_k) = 0,
     W_{k+1} = W_k + alpha_k * (v_{k+1} - v_k),
 
-in the unknowns (W, alpha_1..alpha_n). The neutral space is the projection of
-its solution space onto the W coordinates; the segment is sufficient
+in the unknowns (W, alpha_1..alpha_n). Each collision pins its advance,
+alpha_k = <B_k W_k, B_k v_k> / |B_k v_k|^2 with B_k the orthonormal base rows
+of the cylinder hit, because v_k has a nonzero base component. One forward
+elimination solves the system: orthonormal candidate rows N, starting at
+I_d, are carried with their images W_k and advances, and each collision cuts
+N down to the left-null directions of the residual B_k W_k - alpha_k B_k v_k.
+The surviving rows span the neutral space; the segment is sufficient
 (geometrically hyperbolic) exactly when that space is the line spanned by the
-velocity. An independent derivative-kernel method computes the same space
-from the kernel of the linearized flow's velocity response and serves as a
-cross-check.
+velocity. The same walk from a single row gives that row's advance tuple. An
+independent derivative-kernel method computes the same space from the kernel
+of the linearized flow's velocity response and serves as a cross-check.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySequence, NotNeutralError, SingularSegment, UnknownCylinderIndex
-from .flow import OrbitSegment, PhasePoint, cylinder_distance, evolve, random_phase_point
+from .flow import OrbitSegment, PhasePoint, cylinder_distance, evolve, is_singular, random_phase_point
 from .geometry import BilliardTable
 from .linalg import RANK_RTOL, nullspace, orthonormal_basis, rational_rank, rational_intersection_dim
 from .tangent import collide_frame, flight_frame, segment_operators
@@ -43,6 +48,11 @@ class NeutralSpaceResult:
     dim: int
     advances: tuple[tuple[float, ...], ...]  # one advance tuple per basis row
     method: str
+    # Rank margins of the advance walk, each over its threshold: the largest
+    # singular value treated as zero (0.0 if none) and the smallest one
+    # dropped (None if none). The derivative-kernel method leaves both None.
+    largest_kept_sv: float | None = None
+    smallest_dropped_sv: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,81 +80,71 @@ class SpanDecomposition:
 
 
 def _require_nonsingular(segment: OrbitSegment) -> None:
-    # A budget-truncated segment is an ordinary nonsingular piece of orbit;
-    # only tangential/double flags invalidate the recorded events.
     flag = segment.singular_flag
-    if flag is not None and flag.kind != "budget_exceeded":
+    if flag is not None and is_singular(flag.kind):
         raise SingularSegment(f"segment flagged {flag.kind}")
 
 
-def _segment_velocities(segment: OrbitSegment) -> np.ndarray:
-    """Pre-collision velocity of each event: v_k is constant on flight k."""
-    return np.array([e.v_pre for e in segment.events])
+def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult:
+    """Forward elimination of the advance system from candidate ``rows``.
+
+    Rows are only ever left-multiplied by matrices with orthonormal rows, so
+    orthonormal input stays orthonormal. Raises NotNeutralError, with the
+    smallest residual singular value, at a collision that drops every row.
+    """
+    basis = images = rows
+    advances = np.zeros((rows.shape[0], len(segment.events)))
+    largest_kept, dropped = 0.0, []
+    for k, event in enumerate(segment.events):
+        base_rows = event.cylinder.base_basis
+        w_b = images @ base_rows.T
+        v_b = base_rows @ event.v_pre
+        alpha = w_b @ v_b / float(v_b @ v_b)
+        u, s, _ = np.linalg.svd(w_b - np.outer(alpha, v_b))
+        # Absolute and scaled by max(1, |W_k|_2): a threshold relative to the
+        # largest residual would drop the velocity direction (see README).
+        # |W_k|_2^2 is the top eigenvalue of the p x p Gram matrix, a third of
+        # the cost of np.linalg.norm(images, 2).
+        threshold = ADVANCE_ATOL * math.sqrt(max(1.0, float(np.linalg.eigvalsh(images @ images.T)[-1])))
+        rank = int(np.count_nonzero(s > threshold))
+        if rank < s.size:
+            largest_kept = max(largest_kept, float(s[rank]) / threshold)
+        if rank:
+            if rank == basis.shape[0]:
+                raise NotNeutralError(k, float(s[-1]))
+            dropped.append(float(s[rank - 1]) / threshold)
+            keep = u[:, rank:].T
+            basis, images, advances, alpha = keep @ basis, keep @ images, keep @ advances, keep @ alpha
+        advances[:, k] = alpha
+        images = images + np.outer(alpha, event.v_post - event.v_pre)
+    return NeutralSpaceResult(basis=basis, dim=basis.shape[0],
+                              advances=tuple(map(tuple, advances.tolist())), method=ADVANCE_SYSTEM,
+                              largest_kept_sv=largest_kept, smallest_dropped_sv=min(dropped, default=None))
 
 
 def neutral_space_advance(segment: OrbitSegment, table: BilliardTable | None = None) -> NeutralSpaceResult:
     """Neutral space from the exact advance linear system.
 
-    The solution space is computed by SVD of the stacked per-collision
-    constraints; the basis is orthonormalized and expressed at the segment
-    start, and the advance tuple of each basis vector is reported.
+    One forward elimination from I_d (see the module docstring): the rows
+    that survive every collision are an orthonormal basis of the neutral
+    space at the segment start, each with its advance tuple, and the result
+    reports how close the rank decisions came to their threshold.
     """
     _require_nonsingular(segment)
-    table = table or segment.table
-    events = segment.events
-    n = len(events)
-    if n == 0:
+    if not segment.events:
         raise EmptySequence("advance system needs at least one collision")
-    d = table.dim
-    vels = _segment_velocities(segment)
-    deltas = np.array([e.v_post - e.v_pre for e in events])
-
-    rows = []
-    for k, event in enumerate(events):
-        base_rows = event.cylinder.base_basis  # (m_k, d)
-        for ell in base_rows:
-            row = np.zeros(d + n)
-            row[:d] = ell
-            for j in range(k):
-                row[d + j] = ell @ deltas[j]
-            row[d + k] -= ell @ vels[k]
-            rows.append(row)
-    system = np.vstack(rows)
-    kernel = nullspace(system, rtol=RANK_RTOL)  # rows span the solution space
-    w_parts = kernel[:, :d]
-    basis = orthonormal_basis(w_parts, rtol=RANK_RTOL)
-    advances = tuple(tuple(advance_functionals(segment, w, table)) for w in basis)
-    return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=advances,
-                              method=ADVANCE_SYSTEM)
+    return _forward_walk(segment, np.eye((table or segment.table).dim))
 
 
 def advance_functionals(segment: OrbitSegment, translation, table: BilliardTable | None = None) -> tuple[float, ...]:
-    """Advance tuple (alpha_1..alpha_n) of a neutral translation.
-
-    Walks the constraints forward: each collision pins its advance uniquely
-    because the pre-collision velocity has a nonzero base component. Raises
+    """Advance tuple (alpha_1..alpha_n) of a neutral translation: the forward
+    elimination started at the single row ``translation``. Raises
     NotNeutralError when a constraint residual survives.
     """
     _require_nonsingular(segment)
-    table = table or segment.table
-    events = segment.events
-    if not events:
+    if not segment.events:
         raise EmptySequence("advance functionals need at least one collision")
-    w = np.asarray(translation, dtype=float).copy()
-    scale = max(1.0, float(np.linalg.norm(w)))
-    alphas = []
-    for k, event in enumerate(events):
-        base_rows = event.cylinder.base_basis
-        w_b = base_rows @ w
-        v_b = base_rows @ event.v_pre
-        denom = float(v_b @ v_b)
-        alpha = float(w_b @ v_b) / denom
-        residual = float(np.linalg.norm(w_b - alpha * v_b))
-        if residual > ADVANCE_ATOL * scale:
-            raise NotNeutralError(k, residual)
-        alphas.append(alpha)
-        w = w + alpha * (event.v_post - event.v_pre)
-    return tuple(alphas)
+    return _forward_walk(segment, np.asarray(translation, dtype=float).reshape(1, -1)).advances[0]
 
 
 def neutral_space_numeric(segment: OrbitSegment, table: BilliardTable | None = None) -> NeutralSpaceResult:
@@ -229,13 +229,7 @@ def sufficiency(segment: OrbitSegment, table: BilliardTable | None = None,
     """
     _require_nonsingular(segment)
     table = table or segment.table
-    if len(segment.events) == 0:
-        d = table.dim
-        witness = NeutralSpaceResult(basis=np.eye(d), dim=d,
-                                     advances=tuple(() for _ in range(d)),
-                                     method=ADVANCE_SYSTEM)
-        return SufficiencyVerdict(sufficient=False, neutral_dim=d, witness=witness)
-    witness = neutral_space_advance(segment, table)
+    witness = _forward_walk(segment, np.eye(table.dim))
     if cross_check:
         other = neutral_space_numeric(segment, table)
         if other.dim != witness.dim:
@@ -376,7 +370,7 @@ def _survey_one(table: BilliardTable, sample_id: int, *, seed: int, duration: fl
     if n > 0:
         rich = richness_report(segment.symbolic, table)
         span_dim, codim2, full = rich.span_dim, rich.codim2_ok, rich.full_span
-    if flag == "none":
+    if not is_singular(flag):
         verdict = sufficiency(segment, table)
         neutral_dim, suff = verdict.neutral_dim, verdict.sufficient
     return SurveyRow(sample_id=sample_id, seed=seed, n_collisions=n,
@@ -420,7 +414,7 @@ def _tangency_start(table: BilliardTable, rng: np.random.Generator, band: float,
 def summarize_survey(rows, table: BilliardTable, **meta) -> dict:
     """Counts and fractions over survey rows."""
     n = len(rows)
-    nonsingular = [r for r in rows if r.singular_flag == "none"]
+    nonsingular = [r for r in rows if not is_singular(r.singular_flag)]
     full_span = [r for r in nonsingular if r.full_span]
     rich = [r for r in full_span if r.codim2_ok]
     sufficient_rows = [r for r in nonsingular if r.sufficient]

@@ -242,11 +242,6 @@ class ProjectedLattice:
         point = np.rint(y @ self._coord_inv) @ self._coord_basis
         return point, y - point
 
-    def babai(self, target: np.ndarray) -> np.ndarray:
-        """Lattice point near ``target`` by coordinate rounding."""
-        point, _ = self.reduce(self.to_coords(target))
-        return point @ self.subspace_onb
-
     def points_in_ball(self, center: np.ndarray, radius: float,
                        max_points: int | None = None) -> np.ndarray:
         """All lattice vectors within ``radius`` of ``center`` (ambient rows)."""

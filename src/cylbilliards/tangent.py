@@ -278,7 +278,6 @@ def lyapunov_spectrum(x: PhasePoint | None, table: BilliardTable, duration: floa
 
 def _orthonormal_to(v: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of the hyperplane orthogonal to v."""
-    d = v.shape[0]
     _, _, vt = np.linalg.svd(v[None, :] / np.linalg.norm(v))
     return vt[1:]
 

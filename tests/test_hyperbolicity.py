@@ -129,6 +129,47 @@ class TestAdvanceFunctionals:
             assert np.allclose(ev_shift.v_post, ev_orig.v_post, atol=1e-9)
 
 
+def _long_segment(table, seed, n_events=300):
+    """A clean segment of exactly n_events collisions from a fixed seed,
+    ending at its last collision."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        seg = evolve(random_phase_point(table, rng), table, 1e6, max_events=n_events)
+        if clean(seg) and seg.n_events == n_events:
+            return seg
+    raise RuntimeError(f"no clean {n_events}-collision segment")
+
+
+class TestForwardWalk:
+    """The forward elimination on long segments, checked against the
+    per-collision constraints themselves."""
+
+    @pytest.mark.parametrize("name, seed", [("ortho3", 31), ("dense3", 32), ("split4", 33)])
+    def test_long_segment_constraints_and_margins(self, request, name, seed):
+        table = request.getfixturevalue(name)
+        seg = _long_segment(table, seed)
+        res = neutral_space_advance(seg)
+        assert np.allclose(res.basis @ res.basis.T, np.eye(res.dim), atol=1e-12)
+        assert len(res.advances) == res.dim
+        for row, alphas in zip(res.basis, res.advances):
+            assert len(alphas) == seg.n_events
+            w = row.copy()
+            for event, alpha in zip(seg.events, alphas):
+                base_rows = event.cylinder.base_basis
+                assert np.linalg.norm(base_rows @ (w - alpha * event.v_pre)) < 1e-8
+                w = w + alpha * (event.v_post - event.v_pre)
+            assert np.allclose(advance_functionals(seg, row), alphas, rtol=0, atol=1e-8)
+        assert res.largest_kept_sv < 1e-3
+        assert res.smallest_dropped_sv > 1e3
+
+    def test_dense3_shared_axis_is_neutral(self, dense3):
+        seg = _long_segment(dense3, 32)
+        res = neutral_space_advance(seg)
+        assert res.dim == 2
+        e3 = np.array([0.0, 0.0, 1.0])
+        assert np.linalg.norm(res.basis.T @ (res.basis @ e3) - e3) < 1e-10
+
+
 class TestNeutralSpaceNumeric:
     def test_zero_collision_full_space(self, sinai2):
         seg = evolve(phase_point([0.4, 0.4], [0.0, 1.0]), sinai2, 0.05)
@@ -296,6 +337,20 @@ class TestSurvey:
         assert len(rows) >= 18
         # near-tangency starts still produce orbits that pick up collisions
         assert all(r.n_collisions > 0 for r in rows)
+
+    def test_budget_truncated_samples_are_analysed(self, ortho3):
+        # Every sample hits the event budget; such segments are ordinary
+        # nonsingular pieces of orbit, exactly as ``sufficiency`` treats them.
+        result = survey_sufficiency(ortho3, 6, 50.0, seed=3, max_events=3)
+        assert all(r.singular_flag == "budget_exceeded" for r in result.rows)
+        for r in result.rows:
+            x = random_phase_point(ortho3, np.random.default_rng([3, r.sample_id]))
+            seg = evolve(x, ortho3, 50.0, max_events=3)
+            verdict = sufficiency(seg)
+            assert r.neutral_dim == verdict.neutral_dim
+            assert r.sufficient == verdict.sufficient
+        assert result.summary["n_singular"] == 0
+        assert result.summary["n_nonsingular"] == 6
 
     def test_singular_fraction_reported(self, sinai2):
         result = survey_sufficiency(sinai2, 30, 10.0, seed=21)

@@ -203,6 +203,8 @@ class TestCli:
         doc = json.loads((out / "sufficiency.json").read_text())
         assert doc["neutral_dim"] >= 1
         assert doc["method"] == "advance_system"
+        assert doc["largest_kept_sv"] < 1e-3
+        assert doc["smallest_dropped_sv"] > 1e3
 
     def test_sufficiency_zero_collisions(self, tmp_path, capsys):
         scen = _write_scenario(tmp_path, "sf0.json", {
@@ -214,3 +216,6 @@ class TestCli:
         doc = json.loads((out / "sufficiency.json").read_text())
         assert doc["sufficient"] is False
         assert doc["neutral_dim"] == 3
+        # No collision, so no rank decision and nothing dropped.
+        assert doc["largest_kept_sv"] == 0.0
+        assert doc["smallest_dropped_sv"] is None
