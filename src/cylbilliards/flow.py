@@ -2,16 +2,18 @@
 against all reachable lattice translates of every cylinder, specular
 reflection, symbolic sequence recording, and singularity flagging.
 
-Collision detection works per flight window: the window length is capped so
-that the set of reachable axis translates stays inside a precomputed ball of
-lattice offsets (Babai rounding recenters the ball each step). Within a
-window every entering root of the distance quadratic is solved in closed
-form and the earliest one wins; near-ties across distinct (cylinder, offset)
-candidates and near-grazing incidences are flagged rather than resolved.
+Collision detection works per flight window on one table that stacks every
+cylinder's base coordinates and precomputed ball of lattice offsets. The
+window length is capped so that the reachable axis translates stay inside
+the balls; per window one Babai rounding recenters all balls and one numpy
+pass solves every entering root of the distance quadratics, and the earliest
+wins. Near-ties across distinct (cylinder, offset) candidates and
+near-grazing incidences are flagged rather than resolved.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -19,6 +21,7 @@ import numpy as np
 
 from .errors import OutwardVelocity, StartsInsideScatterer
 from .geometry import BilliardTable, Cylinder
+from .lattice import babai_round
 
 # Grazing incidences with |<v, normal>| below this are flagged tangential.
 EPS_TANG = 1e-9
@@ -67,6 +70,7 @@ class SingularFlag:
 @dataclass(frozen=True, eq=False)
 class CollisionEvent:
     time: float
+    flight: float  # duration of the flight ending here, exact however late
     cylinder_index: int  # 1-based, matching symbolic sequences
     q_hit: np.ndarray
     lattice_offset: np.ndarray
@@ -83,6 +87,7 @@ class CollisionEvent:
 class OrbitSegment:
     start: PhasePoint
     duration: float
+    tail: float  # free flight after the last event; 0 when cut at an event
     events: tuple[CollisionEvent, ...]
     symbolic: tuple[int, ...]
     singular_flag: SingularFlag | None
@@ -123,105 +128,101 @@ def random_phase_point(table: BilliardTable, rng: np.random.Generator) -> PhaseP
 
 
 # ---------------------------------------------------------------------------
-# Per-table flight data (precomputed candidate offsets)
+# Per-table flight data: every cylinder's candidate offsets, stacked
 # ---------------------------------------------------------------------------
 
-_FLIGHT_CACHE: "weakref.WeakKeyDictionary[BilliardTable, list]" = weakref.WeakKeyDictionary()
+_FLIGHT_CACHE: "weakref.WeakKeyDictionary[BilliardTable, _FlightTable]" = weakref.WeakKeyDictionary()
 
 
-class _FlightCylinder:
-    """Per-cylinder constants for the flight loop, expressed in base-space
-    coordinates (orthonormal frame of the base, an isometry for distances)."""
+class _FlightTable:
+    """Flight-loop constants of a table in stacked base coordinates: cylinder
+    k owns the block ``blocks[k]`` of one axis of size M = sum of the base
+    dimensions, in the orthonormal frame of its base (an isometry for
+    distances). Candidate offsets are rows zero-padded to length M, in
+    cylinder order, with their cylinder ``cid`` and block ``mask``."""
 
-    __slots__ = (
-        "cyl", "index", "translation", "radius", "r_sq", "onb", "reduce",
-        "offsets_c", "off_sq", "window_len",
-    )
-
-    def __init__(self, cyl: Cylinder, index: int):
-        lat = cyl.lattice
-        self.cyl = cyl
-        self.index = index  # 1-based symbolic index
-        self.translation = cyl.translation
-        self.radius = cyl.radius
-        self.r_sq = cyl.radius * cyl.radius
-        self.onb = lat.subspace_onb
-        self.reduce = lat.reduce
-        self.window_len = 2.0 * lat.shortest_norm
-        rho = cyl.radius + self.window_len + lat.babai_bound + 1e-6
-        offsets_amb = lat.points_in_ball(np.zeros(cyl.ambient_dim), rho)
-        self.offsets_c = offsets_amb @ lat.subspace_onb.T
-        self.off_sq = np.einsum("ij,ij->i", self.offsets_c, self.offsets_c)
-
-
-def _flight_data(table: BilliardTable) -> list[_FlightCylinder]:
-    data = _FLIGHT_CACHE.get(table)
-    if data is None:
-        data = [_FlightCylinder(c, i) for i, c in enumerate(table.cylinders, start=1)]
-        _FLIGHT_CACHE[table] = data
-    return data
+    def __init__(self, table: BilliardTable):
+        self.cylinders = table.cylinders
+        lats = [c.lattice for c in self.cylinders]
+        ends = np.cumsum([lat.rank for lat in lats])
+        self.blocks = [slice(int(end) - lat.rank, int(end)) for end, lat in zip(ends, lats)]
+        size = int(ends[-1])
+        self.onb = np.vstack([lat.subspace_onb for lat in lats])
+        self.shift = np.concatenate([lat.subspace_onb @ c.translation
+                                     for c, lat in zip(self.cylinders, lats)])
+        self.basis = np.zeros((size, size))
+        self.basis_inv = np.zeros((size, size))
+        indicator = np.zeros((len(lats), size))
+        balls = []
+        for k, (cyl, lat, blk) in enumerate(zip(self.cylinders, lats, self.blocks)):
+            self.basis[blk, blk] = lat.coord_basis
+            self.basis_inv[blk, blk] = lat.coord_inv
+            indicator[k, blk] = 1.0
+            rho = cyl.radius + 2.0 * lat.shortest_norm + lat.babai_bound + 1e-6
+            points = lat.points_in_ball(np.zeros(cyl.ambient_dim), rho)
+            balls.append((points @ self.onb.T) * indicator[k])
+        self.offsets = np.vstack(balls)
+        self.cid = np.repeat(np.arange(len(balls)), [len(b) for b in balls])
+        self.mask = indicator[self.cid]
+        radius = np.array([c.radius for c in self.cylinders])
+        self.r_sq = (radius * radius)[self.cid]
+        tube_sq = (radius + np.array([lat.babai_bound for lat in lats]) + 1e-6) ** 2
+        self.tube_excess = np.einsum("ij,ij->i", self.offsets, self.offsets) - tube_sq[self.cid]
+        self.window_len = 2.0 * np.array([lat.shortest_norm for lat in lats])[self.cid]
 
 
 def _first_collision(q0: np.ndarray, v: np.ndarray, table: BilliardTable,
                      t_max: float):
     """Earliest entering collision within t_max as a raw hit tuple, or None.
 
-    The window length is capped per flight so every reachable translate lies
-    in the precomputed offset ball around the Babai-rounded axis point.
+    Per window, one block-diagonal Babai rounding of the start point gives
+    every cylinder's residual e (|e| <= babai_bound), and the quadratics of
+    all candidates are solved at once; equal roots go to the first cylinder,
+    then its first offset. Per flight, each offset ball is cut to the tube of
+    radius r + babai_bound around the line through the Babai point along the
+    base direction u. The cut is exact: the flight runs along that line moved
+    by e, so an offset farther than r + |e| from it never comes within r.
     """
-    data = _flight_data(table)
-    active = []
-    window = np.inf
-    for fd in data:
-        uc = fd.onb @ v
-        a = float(uc @ uc)
-        if a > 1e-28:
-            off_u = fd.offsets_c @ uc
-            active.append((fd, uc, a, off_u))
-            cap = fd.window_len / a**0.5
-            if cap < window:
-                window = cap
-    if not active:
+    ft = _FLIGHT_CACHE.get(table)
+    if ft is None:
+        ft = _FLIGHT_CACHE[table] = _FlightTable(table)
+    uc = ft.onb @ v
+    a_row = ft.mask @ (uc * uc)
+    off_u = ft.offsets @ uc
+    # Tube test |o|^2 - (o.u)^2 / a <= tube^2, multiplied through by a.
+    rows = ((ft.tube_excess * a_row <= off_u * off_u) & (a_row > 1e-28)).nonzero()[0]
+    if not rows.size:
         return None
+    offsets, mask = ft.offsets.take(rows, axis=0), ft.mask.take(rows, axis=0)
+    r_sq, a_row = ft.r_sq[rows], a_row[rows]
+    window = float((ft.window_len[rows] / np.sqrt(a_row)).min())
 
-    q = np.array(q0, dtype=float)
+    q = np.asarray(q0, dtype=float)
     base = 0.0
     while base < t_max - 1e-15:
         w = min(window, t_max - base)
-        best = None
-        runner_arrays = []
-        for fd, uc, a, off_u in active:
-            lam0, e = fd.reduce(fd.onb @ (q - fd.translation))
-            b = (float(e @ uc) - off_u)
-            gamma = (float(e @ e) - fd.r_sq) - 2.0 * (fd.offsets_c @ e) + fd.off_sq
-            disc = b * b - a * gamma
-            # Discriminants within rounding noise of zero are exact tangencies:
-            # the chord is numerically unresolvable, so no event is generated.
-            floor = 1e-14 * (b * b + a * np.abs(gamma))
-            mask = (disc > floor) & (b < 0.0)
-            if not mask.any():
-                continue
+        lam0, e = babai_round(ft.onb @ q - ft.shift, ft.basis, ft.basis_inv)
+        # Each candidate's position relative to its axis translate, in its block.
+        rel = mask * e - offsets
+        b = rel @ uc
+        gamma = (rel * rel).sum(axis=1) - r_sq
+        bb, ag = b * b, a_row * gamma
+        disc = bb - ag
+        # Discriminants within rounding noise of zero are exact tangencies:
+        # the chord is numerically unresolvable, so no event is generated.
+        hit = ((disc > 1e-14 * (bb + np.abs(ag))) & (b < 0.0)).nonzero()[0]
+        if hit.size:
             # Stable smaller root of a s^2 + 2 b s + gamma = 0.
-            s = gamma[mask] / (-b[mask] + np.sqrt(disc[mask]))
-            # Roots slightly beyond the window feed the near-double scan only;
-            # the event itself must land inside (MIN_FLIGHT, w].
-            near = (s > MIN_FLIGHT) & (s <= w + EPS_DOUBLE)
-            if not near.any():
-                continue
-            s_near = s[near]
-            runner_arrays.append(s_near)
-            eligible = np.flatnonzero(s_near <= w)
-            if eligible.size == 0:
-                continue
-            k_local = eligible[int(np.argmin(s_near[eligible]))]
-            s_min = float(s_near[k_local])
-            if best is None or s_min < best[0]:
-                k_idx = int(np.flatnonzero(mask)[np.flatnonzero(near)[k_local]])
-                best = (s_min, fd, uc, e, lam0, k_idx)
-        if best is not None:
-            s_star, fd, uc, e, lam0, k_idx = best
-            n_close = sum(int(np.sum(arr <= s_star + EPS_DOUBLE)) for arr in runner_arrays)
-            return (s_star, fd, uc, e, lam0, k_idx, q, base, n_close > 1)
+            s = gamma[hit] / (np.sqrt(disc[hit]) - b[hit])
+            s[s <= MIN_FLIGHT] = np.inf
+            j = int(s.argmin())
+            # Roots slightly beyond the window feed the near-double count
+            # only; the event itself must land inside (MIN_FLIGHT, w].
+            if s[j] <= w:
+                n_close = np.count_nonzero(s <= s[j] + EPS_DOUBLE)
+                row = rows[hit[j]]
+                return (float(s[j]), ft, int(ft.cid[row]), rel[hit[j]], uc,
+                        lam0 + ft.offsets[row], q, base, n_close > 1)
         # Overlap consecutive windows so a root within MIN_FLIGHT of the
         # boundary cannot be skipped by the minimum-flight guard.
         step = w if w <= 2e-10 else w - 1e-10
@@ -231,25 +232,28 @@ def _first_collision(q0: np.ndarray, v: np.ndarray, table: BilliardTable,
 
 
 def _build_event(raw, v: np.ndarray, time_offset: float) -> CollisionEvent:
-    s_rel, fd, uc, e, lam0, k_idx, q_window, base, near_double = raw
+    s_rel, ft, k, rel, uc, lam, q_window, base, near_double = raw
+    blk, cyl = ft.blocks[k], ft.cylinders[k]
+    onb = ft.onb[blk]
     q_hit_raw = q_window + s_rel * v
-    rad_c = (e - fd.offsets_c[k_idx]) + s_rel * uc
-    radial = rad_c @ fd.onb
-    normal = radial / np.sqrt(float(radial @ radial))
+    radial = (rel[blk] + s_rel * uc[blk]) @ onb
+    normal = radial / math.sqrt(radial @ radial)
     vn = float(v @ normal)
     cos_phi = -vn
     shift = np.floor(q_hit_raw)
-    lam_amb = (lam0 + fd.offsets_c[k_idx]) @ fd.onb - fd.cyl.base_projector @ shift
+    lam_amb = lam[blk] @ onb - cyl.base_projector @ shift
+    flight = base + s_rel
     return CollisionEvent(
-        time=time_offset + base + s_rel,
-        cylinder_index=fd.index,
+        time=time_offset + flight,
+        flight=flight,
+        cylinder_index=k + 1,
         q_hit=q_hit_raw - shift,
         lattice_offset=lam_amb,
         normal=normal,
         v_pre=np.array(v),
         v_post=v - 2.0 * vn * normal,
         cos_phi=cos_phi,
-        cylinder=fd.cyl,
+        cylinder=cyl,
         grazing=bool(cos_phi < EPS_TANG),
         near_double=near_double,
     )
@@ -261,31 +265,26 @@ def next_collision(x: PhasePoint, table: BilliardTable, t_max: float) -> Collisi
     Raises StartsInsideScatterer when x sits strictly inside a cylinder.
     Grazing and near-double candidates are flagged inside the returned event.
     """
-    _check_outside(x, table)
+    _start_velocity(x, table)  # only for its check: the flight keeps x.v
     raw = _first_collision(x.q, x.v, table, t_max)
     if raw is None:
         return None
     return _build_event(raw, np.asarray(x.v, dtype=float), 0.0)
 
 
-def _check_outside(x: PhasePoint, table: BilliardTable) -> None:
+def _start_velocity(x: PhasePoint, table: BilliardTable) -> np.ndarray:
+    """Raises StartsInsideScatterer when x sits strictly inside a cylinder.
+    Otherwise returns the velocity after identifying incoming with outgoing
+    states on the boundary: a start point sitting on a scatterer with inward
+    radial velocity is reflected, so that time reversal at a collision
+    endpoint retraces the orbit instead of tunneling through the tube."""
+    v = np.array(x.v, dtype=float)
     for i, cyl in enumerate(table.cylinders, start=1):
-        dist, _ = cylinder_distance(x.q, cyl)
+        dist, offset = cylinder_distance(x.q, cyl)
         if dist < cyl.radius - INSIDE_TOL:
-            raise StartsInsideScatterer(
-                f"start point is {cyl.radius - dist:.3e} inside cylinder {i}"
-            )
-
-
-def _boundary_lift(q: np.ndarray, v: np.ndarray, table: BilliardTable) -> np.ndarray:
-    """Identify incoming with outgoing states on the boundary: a start point
-    sitting on a scatterer with inward radial velocity is reflected, so that
-    time reversal at a collision endpoint retraces the orbit instead of
-    tunneling through the tube."""
-    for cyl in table.cylinders:
-        dist, offset = cylinder_distance(q, cyl)
+            raise StartsInsideScatterer(f"start point is {cyl.radius - dist:.3e} inside cylinder {i}")
         if abs(dist - cyl.radius) <= INSIDE_TOL and dist > 0:
-            normal = (cyl.base_projector @ (q - cyl.translation) - offset) / dist
+            normal = (cyl.base_projector @ (x.q - cyl.translation) - offset) / dist
             vn = float(v @ normal)
             if vn < 0:
                 v = v - 2.0 * vn * normal
@@ -304,12 +303,11 @@ def evolve(x: PhasePoint, table: BilliardTable, duration: float,
     speed = float(np.linalg.norm(x.v))
     if abs(speed - 1.0) > 1e-9:
         raise ValueError(f"|v| = {speed} is not 1")
-    _check_outside(x, table)
 
     q = np.array(x.q, dtype=float)
-    v = _boundary_lift(q, np.array(x.v, dtype=float), table)
+    v = _start_velocity(x, table)
     disp = np.zeros_like(q)
-    elapsed = 0.0
+    elapsed = tail = 0.0
     events: list[CollisionEvent] = []
     flag: SingularFlag | None = None
 
@@ -319,23 +317,23 @@ def evolve(x: PhasePoint, table: BilliardTable, duration: float,
             break
         raw = _first_collision(q, v, table, remaining)
         if raw is None:
-            disp += remaining * v
-            q = np.mod(q + remaining * v, 1.0)
+            tail = remaining
+            disp += tail * v
+            q = np.mod(q + tail * v, 1.0)
             elapsed = duration
             break
         ev = _build_event(raw, v, elapsed)
-        dt = ev.time - elapsed
-        disp += dt * v
+        disp += ev.flight * v
         elapsed = ev.time
         events.append(ev)
-        q = np.array(ev.q_hit)
+        q = ev.q_hit
         if ev.grazing:
             flag = SingularFlag(TANGENTIAL, len(events) - 1)
             break
         if ev.near_double:
             flag = SingularFlag(DOUBLE, len(events) - 1)
             break
-        v = np.array(ev.v_post)
+        v = ev.v_post
         if len(events) >= max_events and elapsed < duration:
             flag = SingularFlag(BUDGET_EXCEEDED, len(events) - 1)
             break
@@ -343,10 +341,11 @@ def evolve(x: PhasePoint, table: BilliardTable, duration: float,
     return OrbitSegment(
         start=x,
         duration=elapsed,
+        tail=tail,
         events=tuple(events),
         symbolic=tuple(e.cylinder_index for e in events),
         singular_flag=flag,
-        end=PhasePoint(q, v),
+        end=PhasePoint(np.array(q), np.array(v)),
         end_unwrapped=x.q + disp,
         table=table,
     )

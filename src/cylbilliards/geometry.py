@@ -44,8 +44,8 @@ HOLDS = "holds"
 FAILS = "fails"
 UNCHECKED = "unchecked"
 
-# Orthogonality threshold for the non-orthogonality graph; inputs are
-# integer-derived, so true orthogonality is exact up to rounding.
+# Orthogonality threshold for the non-orthogonality graph of float-only
+# inputs; integer inputs are decided exactly from integer inner products.
 GRAPH_TOL = 1e-10
 
 # Work cap for disjointness enumeration before reporting "unchecked".
@@ -238,7 +238,9 @@ def transitivity_report(subspaces, dim: int | None = None) -> TransitivityReport
     subspaces are not mutually orthogonal) is connected and the subspaces
     together span R^d. When it is not, a splitting witness (B1, B2) is
     returned: B1 spans one graph component, B2 is its orthocomplement, and
-    every subspace lies entirely in one of them.
+    every subspace lies entirely in one of them. When every subspace has an
+    integer basis, orthogonality is decided exactly from integer inner
+    products; ``GRAPH_TOL`` applies only to float input.
 
     Subspace indices in the report are 1-based, matching symbolic sequences.
     """
@@ -261,15 +263,20 @@ def transitivity_report(subspaces, dim: int | None = None) -> TransitivityReport
         raise ValueError("all subspaces must be nonzero")
 
     k = len(bases)
+    exact = all(ib is not None for ib in int_bases)
     adjacency = [[False] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            touching = bool(np.max(np.abs(bases[i] @ bases[j].T)) > GRAPH_TOL)
+            if exact:
+                touching = any(sum(x * y for x, y in zip(ri, rj))
+                               for ri in int_bases[i] for rj in int_bases[j])
+            else:
+                touching = bool(np.max(np.abs(bases[i] @ bases[j].T)) > GRAPH_TOL)
             adjacency[i][j] = adjacency[j][i] = touching
     components = _connected_components(adjacency)
 
     stacked = np.vstack(bases)
-    if all(ib is not None for ib in int_bases):
+    if exact:
         span_dim = rational_rank([row for ib in int_bases for row in ib])
     else:
         span_dim = float_rank(stacked, rtol=SPAN_RTOL)

@@ -209,13 +209,11 @@ def _advances_by_transport(segment: OrbitSegment, ops, w: np.ndarray) -> tuple[f
     at each collision the time slide is -<normal, W_k>/cos(phi)."""
     dqs = np.atleast_2d(np.asarray(w, dtype=float))
     dvs = np.zeros_like(dqs)
-    t_prev = 0.0
     alphas = []
     for event, op in zip(segment.events, ops):
-        dqs, dvs = flight_frame(dqs, dvs, event.time - t_prev)
+        dqs, dvs = flight_frame(dqs, dvs, event.flight)
         alphas.append(-float(event.normal @ dqs[0]) / event.cos_phi)
         dqs, dvs = collide_frame(dqs, dvs, op)
-        t_prev = event.time
     return tuple(alphas)
 
 

@@ -11,6 +11,7 @@ flight loop).
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -60,6 +61,28 @@ def integer_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
     returns the integer rows and that common scale."""
     denom = math.lcm(*(x.denominator for row in rows for x in row))
     return [[int(x * denom) for x in row] for row in rows], denom
+
+
+def babai_round(y: np.ndarray, basis: np.ndarray,
+                basis_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Babai rounding of coordinates ``y`` against the lattice spanned by the
+    rows of ``basis``: the lattice point and the residual ``y - point``. A
+    block-diagonal basis rounds several lattices in one product."""
+    point = np.rint(y @ basis_inv) @ basis
+    return point, y - point
+
+
+def _rounding_radius(basis: np.ndarray) -> float:
+    """Largest Babai rounding residual for the basis rows b_i.
+
+    The residual ranges over the parallelepiped sum t_i b_i, |t_i| <= 1/2,
+    and a convex function on a box peaks at a vertex, so the radius is the
+    largest |1/2 sum +-b_i|. A sign flip of all terms gives the same norm,
+    so 2^(m-1) vertices are checked.
+    """
+    m = basis.shape[0]
+    signs = np.array([(1.0, *rest) for rest in itertools.product((1.0, -1.0), repeat=m - 1)])
+    return 0.5 * float(np.max(np.linalg.norm(signs @ basis, axis=1)))
 
 
 def _gram_schmidt(basis: list[list[Fraction]]):
@@ -180,14 +203,14 @@ class ProjectedLattice:
             raise ValueError("subspace basis rank does not match lattice rank")
         _, self.shortest_sq = shortest_vector_sq([list(r) for r in basis_rational])
         self.shortest_norm = float(self.shortest_sq) ** 0.5
-        # Lattice basis expressed in subspace coordinates (rows), plus GS data
-        # for Fincke-Pohst enumeration.
-        self._coord_basis = self.basis @ self.subspace_onb.T
-        self._coord_inv = np.linalg.inv(self._coord_basis)
-        self._gs_ortho, self._gs_mu = self._float_gram_schmidt(self._coord_basis)
+        # Lattice basis expressed in subspace coordinates (rows) and its
+        # inverse for Babai rounding, plus GS data for Fincke-Pohst enumeration.
+        self.coord_basis = self.basis @ self.subspace_onb.T
+        self.coord_inv = np.linalg.inv(self.coord_basis)
+        self._gs_ortho, self._gs_mu = self._float_gram_schmidt(self.coord_basis)
         self._gs_norms_sq = np.array([float(v @ v) for v in self._gs_ortho])
-        # Babai rounding error never exceeds half the sum of basis lengths.
-        self.babai_bound = 0.5 * float(np.sum(np.linalg.norm(self.basis, axis=1)))
+        # The largest distance from any point to its Babai lattice point.
+        self.babai_bound = _rounding_radius(self.basis)
 
     @staticmethod
     def _float_gram_schmidt(rows: np.ndarray):
@@ -239,8 +262,7 @@ class ProjectedLattice:
     def reduce(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Babai rounding of subspace coordinates ``y``: the lattice point (in
         subspace coordinates) and the residual ``y - point``."""
-        point = np.rint(y @ self._coord_inv) @ self._coord_basis
-        return point, y - point
+        return babai_round(y, self.coord_basis, self.coord_inv)
 
     def points_in_ball(self, center: np.ndarray, radius: float,
                        max_points: int | None = None) -> np.ndarray:
@@ -258,7 +280,7 @@ class ProjectedLattice:
         y = self.to_coords(target)
         _, resid = self.reduce(y)
         coeffs = self._enumerate(y, float(np.linalg.norm(resid)) + 1e-12, max_points)
-        dists = np.linalg.norm(coeffs @ self._coord_basis - y, axis=1)
+        dists = np.linalg.norm(coeffs @ self.coord_basis - y, axis=1)
         k = int(np.argmin(dists))
         return coeffs[k] @ self.basis, float(dists[k])
 

@@ -127,12 +127,10 @@ def evolve_frame(dqs: np.ndarray, dvs: np.ndarray, segment: OrbitSegment,
     """Transport a row-stacked frame across the whole segment."""
     if ops_list is None:
         ops_list = segment_operators(segment)
-    t_prev = 0.0
     for event, ops in zip(segment.events, ops_list):
-        dqs, dvs = flight_frame(dqs, dvs, event.time - t_prev)
+        dqs, dvs = flight_frame(dqs, dvs, event.flight)
         dqs, dvs = collide_frame(dqs, dvs, ops)
-        t_prev = event.time
-    return flight_frame(dqs, dvs, segment.duration - t_prev)
+    return flight_frame(dqs, dvs, segment.tail)
 
 
 def evolve_normal(n: NormalVector, segment: OrbitSegment,
@@ -154,10 +152,8 @@ def evolve_normal(n: NormalVector, segment: OrbitSegment,
     z = np.asarray(n.z, dtype=float).copy()
     w = np.asarray(n.w, dtype=float).copy()
     samples = [(0.0, normal_vector(z, w), float(z @ w))]
-    t_prev = 0.0
     for event in segment.events:
-        dt = event.time - t_prev
-        w = w - dt * z
+        w = w - event.flight * z
         nv = normal_vector(z, w)
         samples.append((event.time, nv, nv.q_value))
         ops = collision_operators(event)
@@ -172,9 +168,7 @@ def evolve_normal(n: NormalVector, segment: OrbitSegment,
                 w = w / scale
             nv = normal_vector(z, w)
             samples.append((event.time, nv, nv.q_value))
-        t_prev = event.time
-    dt = segment.duration - t_prev
-    w = w - dt * z
+    w = w - segment.tail * z
     nv = normal_vector(z, w)
     samples.append((segment.duration, nv, nv.q_value))
     return samples
@@ -237,16 +231,14 @@ def lyapunov_spectrum(x: PhasePoint | None, table: BilliardTable, duration: floa
 
     logs = np.zeros(m)
     renorms = 0
-    t_prev = 0.0
     since_renorm = 0
     v_cur = np.array(x.v)
     # Beyond this frame growth the contracting directions start drowning in
     # rounding noise, so renormalize early regardless of the interval.
     growth_cap = 1e4
     for event in segment.events:
-        dqs, dvs = flight_frame(dqs, dvs, event.time - t_prev)
+        dqs, dvs = flight_frame(dqs, dvs, event.flight)
         dqs, dvs = collide_frame(dqs, dvs, collision_operators(event))
-        t_prev = event.time
         v_cur = event.v_post
         since_renorm += 1
         if (since_renorm >= renorm_interval or abs(dqs).max() > growth_cap
@@ -254,7 +246,7 @@ def lyapunov_spectrum(x: PhasePoint | None, table: BilliardTable, duration: floa
             dqs, dvs, logs = _renormalize(dqs, dvs, logs, v_cur)
             renorms += 1
             since_renorm = 0
-    dqs, dvs = flight_frame(dqs, dvs, segment.duration - t_prev)
+    dqs, dvs = flight_frame(dqs, dvs, segment.tail)
     dqs, dvs, logs = _renormalize(dqs, dvs, logs, v_cur)
     renorms += 1
 

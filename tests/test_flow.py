@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cylbilliards import (
@@ -140,6 +142,7 @@ def _synthetic_event(normal, v_pre):
     disk = build_cylinder([], [0] * len(normal), 0.2, len(normal))
     return CollisionEvent(
         time=0.0,
+        flight=0.0,
         cylinder_index=1,
         q_hit=np.mod(0.2 * normal, 1.0),
         lattice_offset=np.zeros(len(normal)),
@@ -289,3 +292,110 @@ class TestEvolve:
                         continue
                     dist, _ = cylinder_distance(e.q_hit, other)
                     assert dist > other.radius - 1e-10
+
+    def test_flight_durations_keep_precision_deep_in_long_orbit(self, sinai2):
+        # Late in a long orbit event.time carries ~1e-12 absolute error, so
+        # time differences lose relative precision; the stored flight is the
+        # kernel's own duration, equal to a fresh search from the previous
+        # post-collision state.
+        rng = np.random.default_rng(3)
+        seg = evolve(random_phase_point(sinai2, rng), sinai2, 1e9, max_events=3000)
+        assert seg.n_events >= 2000 and seg.events[-1].time > 4000
+        assert seg.tail == 0.0
+        for prev, ev in zip(seg.events[-60:-1], seg.events[-59:]):
+            fresh = next_collision(PhasePoint(prev.q_hit, prev.v_post), sinai2, 100.0)
+            assert fresh.cylinder_index == ev.cylinder_index
+            assert abs(fresh.time - ev.flight) <= 1e-13 * ev.flight
+
+    def test_tail_is_the_final_free_flight(self, ortho3):
+        seg = evolve(random_phase_point(ortho3, np.random.default_rng(5)), ortho3, 12.5)
+        assert seg.n_events > 0 and seg.singular_flag is None
+        assert seg.tail == 12.5 - seg.events[-1].time
+        assert sum(e.flight for e in seg.events) + seg.tail == pytest.approx(12.5, abs=1e-12)
+
+
+def _brute_translates(gens, trans, radius, lo, hi):
+    """Base projector of a cylinder and every integer translate n whose axis
+    can come within ``radius`` of a point in the box [lo, hi] - trans: each
+    axis translate has a representative this close along the generators."""
+    d = len(lo)
+    g = np.asarray(gens, dtype=float).reshape(-1, d)
+    proj = np.eye(d) - (g.T @ np.linalg.inv(g @ g.T) @ g if len(g) else 0.0)
+    margin = int(np.ceil(radius)) + len(g) + 1
+    ranges = [range(int(np.floor(a)) - margin, int(np.ceil(b)) + margin + 1)
+              for a, b in zip(lo - trans, hi - trans)]
+    return proj, np.array(list(itertools.product(*ranges)), dtype=float)
+
+
+def _brute_first_entry(q, v, specs, t_max):
+    """Earliest entry of the flight q + s v, 0 < s <= t_max, over explicit
+    integer translates of every cylinder, with no windowing and no lattice
+    reduction. specs holds (generator rows, translation, radius). Returns
+    (time, 1-based cylinder, relative discriminant) or None; the relative
+    discriminant of a grazing entry is near zero."""
+    best = None
+    for idx, (gens, trans, radius) in enumerate(specs, start=1):
+        ends = np.stack([q, q + t_max * v])
+        proj, n = _brute_translates(gens, trans, radius, ends.min(axis=0), ends.max(axis=0))
+        rel = (q - trans - n) @ proj
+        pv = proj @ v
+        a = float(pv @ pv)
+        b = rel @ pv
+        c = np.einsum("ij,ij->i", rel, rel) - radius * radius
+        disc = b * b - a * c
+        ok = (disc >= 0) & (b < 0) & (c > 0)
+        s = (-b[ok] - np.sqrt(disc[ok])) / a
+        rel_disc = disc[ok] / (b[ok] ** 2 + a * np.abs(c[ok]))
+        if ok.any() and s.min() <= t_max:
+            j = int(np.argmin(s))
+            if best is None or s[j] < best[0]:
+                best = (float(s[j]), idx, float(rel_disc[j]))
+    return best
+
+
+def _brute_clearance(q, specs):
+    """Smallest distance from q to a scatterer surface (negative inside)."""
+    out = np.inf
+    for gens, trans, radius in specs:
+        proj, n = _brute_translates(gens, trans, radius, q, q)
+        out = min(out, float(np.linalg.norm((q - trans - n) @ proj, axis=1).min()) - radius)
+    return out
+
+
+@st.composite
+def small_tables(draw):
+    d = draw(st.integers(2, 4))
+    specs = []
+    for _ in range(draw(st.integers(1, 3))):
+        n_gen = draw(st.integers(0, d - 2))
+        gens = draw(st.lists(st.lists(st.sampled_from([-1, 0, 1]), min_size=d, max_size=d),
+                             min_size=n_gen, max_size=n_gen))
+        assume(n_gen == 0 or np.linalg.matrix_rank(np.array(gens, dtype=float)) == n_gen)
+        trans = draw(st.lists(st.floats(0.0, 0.999), min_size=d, max_size=d))
+        probe = build_cylinder(gens, trans, 1e-3, d)
+        radius = draw(st.floats(0.02, 0.45)) * probe.lattice.shortest_norm
+        specs.append((gens, np.array(probe.translation), radius))
+    return d, specs
+
+
+class TestCollisionOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(small_tables(), st.data())
+    def test_first_collision_matches_brute_force(self, spec, data):
+        d, specs = spec
+        table = build_table([build_cylinder(g, t, r, d) for g, t, r in specs])
+        q = np.array(data.draw(st.lists(st.floats(0.0, 0.999), min_size=d, max_size=d)))
+        v = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        assume(np.linalg.norm(v) > 0.1)
+        v = v / np.linalg.norm(v)
+        assume(_brute_clearance(q, specs) > 1e-6)
+        t_max = data.draw(st.floats(0.5, 6.0))
+        brute = _brute_first_entry(q, v, specs, t_max)
+        # Entries within rounding of the horizon or of tangency are not decided.
+        assume(brute is None or (brute[0] < t_max - 1e-7 and brute[2] > 1e-8))
+        ev = next_collision(PhasePoint(q, v), table, t_max)
+        if brute is None:
+            assert ev is None
+        elif not (ev.grazing or ev.near_double):
+            assert ev.cylinder_index == brute[1]
+            assert abs(ev.time - brute[0]) < 1e-9

@@ -178,6 +178,15 @@ class TestTransitivity:
         b1, b2 = report.splitting_witness
         assert b2.shape[0] == 1
 
+    def test_integer_orthogonality_is_exact(self):
+        # Normalized inner product 1e-11, below GRAPH_TOL, but the integer
+        # lines are not orthogonal: one component, not two.
+        lines = [[[1, 10**11, 0]], [[0, 1, 10**11]]]
+        for subs in (lines, [LatticeSubspace.from_integer_basis(m, 3) for m in lines]):
+            report = transitivity_report(subs, dim=3)
+            assert report.graph_components == ((1, 2),)
+            assert report.span_dim == 2 and not report.transitive
+
     def test_against_exhaustive_oracle_random_systems(self):
         rng = np.random.default_rng(2024)
         for _ in range(60):

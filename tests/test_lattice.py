@@ -154,3 +154,25 @@ def test_shortest_vector_exact_small_case():
             n = v[0] * v[0] + v[1] * v[1]
             best = n if best is None else min(best, n)
     assert norm_sq == best
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_babai_bound_on_integer_lattice(m):
+    assert ProjectedLattice.from_generator([], m).babai_bound == pytest.approx(m**0.5 / 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4"])
+def test_babai_bound_is_the_largest_rounding_residual(name, request):
+    for i, cyl in enumerate(request.getfixturevalue(name).cylinders):
+        lat = cyl.lattice
+        # Never above the triangle bound half the sum of basis lengths.
+        assert lat.babai_bound <= 0.5 * np.linalg.norm(lat.basis, axis=1).sum() * (1 + 1e-15)
+        y = np.random.default_rng(i).normal(scale=3.0, size=(10_000, lat.rank))
+        _, resid = lat.reduce(y)
+        assert np.linalg.norm(resid, axis=1).max() <= lat.babai_bound * (1 + 1e-12)
+        # Just inside the farthest vertex of the rounding box the bound is met.
+        signs = np.array(list(itertools.product((0.5, -0.5), repeat=lat.rank)))
+        vertices = signs @ lat.coord_basis
+        far = vertices[np.argmax(np.linalg.norm(vertices, axis=1))]
+        _, resid = lat.reduce((1 - 1e-12) * far)
+        assert np.linalg.norm(resid) >= lat.babai_bound - 1e-9
