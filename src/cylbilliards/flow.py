@@ -8,7 +8,9 @@ window length is capped so that the reachable axis translates stay inside
 the balls; per window one Babai rounding recenters all balls and one numpy
 pass solves every entering root of the distance quadratics, and the earliest
 wins. Near-ties across distinct (cylinder, offset) candidates and
-near-grazing incidences are flagged rather than resolved.
+near-grazing incidences are flagged rather than resolved. The same table
+answers the start checks: one rounding and a minimum over each ball give the
+distance from a point to every cylinder's nearest axis translate.
 """
 
 from __future__ import annotations
@@ -119,9 +121,10 @@ def reflect(x: PhasePoint, event: CollisionEvent) -> PhasePoint:
 def random_phase_point(table: BilliardTable, rng: np.random.Generator) -> PhasePoint:
     """Uniform position outside all scatterers, uniform velocity direction."""
     d = table.dim
+    ft = flight_table(table)
     while True:
         q = rng.random(d)
-        if all(cylinder_distance(q, c)[0] > c.radius for c in table.cylinders):
+        if (ft.axis_gaps(q)[2] > ft.radius).all():
             break
     v = rng.normal(size=d)
     return PhasePoint(q, v / np.linalg.norm(v))
@@ -134,12 +137,22 @@ def random_phase_point(table: BilliardTable, rng: np.random.Generator) -> PhaseP
 _FLIGHT_CACHE: "weakref.WeakKeyDictionary[BilliardTable, _FlightTable]" = weakref.WeakKeyDictionary()
 
 
+def flight_table(table: BilliardTable) -> "_FlightTable":
+    """The table's stacked flight data, built on first use."""
+    ft = _FLIGHT_CACHE.get(table)
+    if ft is None:
+        ft = _FLIGHT_CACHE[table] = _FlightTable(table)
+    return ft
+
+
 class _FlightTable:
     """Flight-loop constants of a table in stacked base coordinates: cylinder
     k owns the block ``blocks[k]`` of one axis of size M = sum of the base
     dimensions, in the orthonormal frame of its base (an isometry for
     distances). Candidate offsets are rows zero-padded to length M, in
-    cylinder order, with their cylinder ``cid`` and block ``mask``."""
+    cylinder order, with their cylinder ``cid`` and block ``mask``. The
+    start checks use the ``start_*`` copies of the rows within 2 babai_bound
+    of the origin; cylinder k's begin at ``start_first[k]``."""
 
     def __init__(self, table: BilliardTable):
         self.cylinders = table.cylinders
@@ -158,17 +171,34 @@ class _FlightTable:
             self.basis[blk, blk] = lat.coord_basis
             self.basis_inv[blk, blk] = lat.coord_inv
             indicator[k, blk] = 1.0
-            rho = cyl.radius + 2.0 * lat.shortest_norm + lat.babai_bound + 1e-6
+            # Wide enough for a window's reach and for the start checks.
+            rho = max(cyl.radius + 2.0 * lat.shortest_norm, lat.babai_bound) + lat.babai_bound + 1e-6
             points = lat.points_in_ball(np.zeros(cyl.ambient_dim), rho)
             balls.append((points @ self.onb.T) * indicator[k])
         self.offsets = np.vstack(balls)
         self.cid = np.repeat(np.arange(len(balls)), [len(b) for b in balls])
         self.mask = indicator[self.cid]
-        radius = np.array([c.radius for c in self.cylinders])
-        self.r_sq = (radius * radius)[self.cid]
-        tube_sq = (radius + np.array([lat.babai_bound for lat in lats]) + 1e-6) ** 2
-        self.tube_excess = np.einsum("ij,ij->i", self.offsets, self.offsets) - tube_sq[self.cid]
+        self.radius = np.array([c.radius for c in self.cylinders])
+        self.r_sq = (self.radius * self.radius)[self.cid]
+        beta = np.array([lat.babai_bound for lat in lats])
+        off_sq = np.einsum("ij,ij->i", self.offsets, self.offsets)
+        self.tube_excess = off_sq - ((self.radius + beta + 1e-6) ** 2)[self.cid]
         self.window_len = 2.0 * np.array([lat.shortest_norm for lat in lats])[self.cid]
+        near = (off_sq <= ((2.0 * beta + 1e-6) ** 2)[self.cid]).nonzero()[0]
+        self.start_offsets, self.start_mask, self.start_cid = self.offsets[near], self.mask[near], self.cid[near]
+        self.start_first = np.searchsorted(self.start_cid, np.arange(len(lats)))
+
+    def axis_gaps(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The torus point q relative to the axis translate of every start
+        row (rows in stacked base coordinates), their squared lengths, and
+        each cylinder's distance to its nearest axis translate: one
+        block-diagonal Babai rounding, then a minimum over each cylinder's
+        start rows. The nearest translate lies within 2 |residual| <=
+        2 babai_bound of the Babai point, so it is among them."""
+        _, e = babai_round(self.onb @ q - self.shift, self.basis, self.basis_inv)
+        rel = self.start_mask * e - self.start_offsets
+        d_sq = np.einsum("ij,ij->i", rel, rel)
+        return rel, d_sq, np.sqrt(np.minimum.reduceat(d_sq, self.start_first))
 
 
 def _first_collision(q0: np.ndarray, v: np.ndarray, table: BilliardTable,
@@ -183,9 +213,7 @@ def _first_collision(q0: np.ndarray, v: np.ndarray, table: BilliardTable,
     base direction u. The cut is exact: the flight runs along that line moved
     by e, so an offset farther than r + |e| from it never comes within r.
     """
-    ft = _FLIGHT_CACHE.get(table)
-    if ft is None:
-        ft = _FLIGHT_CACHE[table] = _FlightTable(table)
+    ft = flight_table(table)
     uc = ft.onb @ v
     a_row = ft.mask @ (uc * uc)
     off_u = ft.offsets @ uc
@@ -279,12 +307,15 @@ def _start_velocity(x: PhasePoint, table: BilliardTable) -> np.ndarray:
     radial velocity is reflected, so that time reversal at a collision
     endpoint retraces the orbit instead of tunneling through the tube."""
     v = np.array(x.v, dtype=float)
-    for i, cyl in enumerate(table.cylinders, start=1):
-        dist, offset = cylinder_distance(x.q, cyl)
-        if dist < cyl.radius - INSIDE_TOL:
-            raise StartsInsideScatterer(f"start point is {cyl.radius - dist:.3e} inside cylinder {i}")
-        if abs(dist - cyl.radius) <= INSIDE_TOL and dist > 0:
-            normal = (cyl.base_projector @ (x.q - cyl.translation) - offset) / dist
+    ft = flight_table(table)
+    rel, d_sq, dists = ft.axis_gaps(np.asarray(x.q, dtype=float))
+    for k, (dist, radius) in enumerate(zip(dists.tolist(), ft.radius.tolist())):
+        if dist < radius - INSIDE_TOL:
+            raise StartsInsideScatterer(f"start point is {radius - dist:.3e} inside cylinder {k + 1}")
+        if abs(dist - radius) <= INSIDE_TOL and dist > 0:
+            blk = ft.blocks[k]
+            row = ft.start_first[k] + int(d_sq[ft.start_cid == k].argmin())
+            normal = rel[row, blk] @ ft.onb[blk] / dist
             vn = float(v @ normal)
             if vn < 0:
                 v = v - 2.0 * vn * normal

@@ -13,6 +13,8 @@ are global conditions the caller must guarantee (see README).
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -27,15 +29,14 @@ from .errors import (
     RadiusTooLarge,
     UnknownCylinderIndex,
 )
-from .lattice import ProjectedLattice, hermite_generating_rows, integer_rows
+from .lattice import ProjectedLattice, hermite_generating_rows
 from .linalg import (
     SPAN_RTOL,
     as_matrix,
     float_rank,
     nullspace,
     orthonormal_basis,
-    rational_intersection_dim,
-    rational_nullspace,
+    integer_nullspace,
     rational_rank,
 )
 
@@ -184,9 +185,8 @@ def _base_subspace(generator: LatticeSubspace) -> LatticeSubspace:
     d = generator.ambient_dim
     if not generator.integer_basis:
         return LatticeSubspace.from_integer_basis(np.eye(d, dtype=int), d)
-    null = rational_nullspace([list(r) for r in generator.integer_basis])
-    int_rows = hermite_generating_rows([integer_rows([vec])[0][0] for vec in null])
-    return LatticeSubspace.from_integer_basis(int_rows, d)
+    null = integer_nullspace([list(r) for r in generator.integer_basis])
+    return LatticeSubspace.from_integer_basis(hermite_generating_rows(null), d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,6 +207,40 @@ class BilliardTable:
         if not 1 <= index <= len(self.cylinders):
             raise UnknownCylinderIndex(f"index {index} outside 1..{len(self.cylinders)}")
         return self.cylinders[index - 1]
+
+
+class BaseRanks:
+    """Exact ranks of a table's base spaces, each computed once: every pair
+    intersection dimension up front and the span dimension of a set of
+    cylinders on first request. Cylinder indices are 1-based, matching
+    symbolic sequences."""
+
+    def __init__(self, cylinders):
+        self._bases = {i: [list(r) for r in c.base.integer_basis]
+                       for i, c in enumerate(cylinders, start=1)}
+        self._span_dims: dict[tuple[int, ...], int] = {}
+        # dim(A ∩ B) = dim A + dim B - dim(A + B); integer bases are independent.
+        self.pair_dims = {(a, b): len(self._bases[a]) + len(self._bases[b]) - self.span_dim((a, b))
+                          for a, b in itertools.combinations(self._bases, 2)}
+
+    def span_dim(self, indices: tuple[int, ...]) -> int:
+        """Dimension of the span of the base spaces of these cylinders."""
+        dim = self._span_dims.get(indices)
+        if dim is None:
+            dim = self._span_dims[indices] = rational_rank([row for i in indices for row in self._bases[i]])
+        return dim
+
+
+_BASE_RANKS: "weakref.WeakKeyDictionary[BilliardTable, BaseRanks]" = weakref.WeakKeyDictionary()
+
+
+def base_ranks(table: BilliardTable) -> BaseRanks:
+    """The table's base-space ranks: those ``validate_table`` computed, or
+    computed now for a table it did not return."""
+    ranks = _BASE_RANKS.get(table)
+    if ranks is None:
+        ranks = _BASE_RANKS[table] = BaseRanks(table.cylinders)
+    return ranks
 
 
 def build_table(cylinders) -> BilliardTable:
@@ -331,15 +365,8 @@ def validate_table(table: BilliardTable, disjoint_budget: int = DISJOINT_BUDGET)
     cylinders = table.cylinders
     k = len(cylinders)
 
-    cond_1_4 = True
-    for i in range(k):
-        for j in range(i + 1, k):
-            dim_int = rational_intersection_dim(
-                [list(r) for r in cylinders[i].base.integer_basis],
-                [list(r) for r in cylinders[j].base.integer_basis],
-            )
-            if dim_int == 0:
-                cond_1_4 = False
+    ranks = BaseRanks(cylinders)
+    cond_1_4 = all(ranks.pair_dims.values())
 
     disjoint = HOLDS  # vacuous for a single cylinder
     if disjoint_budget <= 0 and k > 1:
@@ -357,13 +384,15 @@ def validate_table(table: BilliardTable, disjoint_budget: int = DISJOINT_BUDGET)
                 break
 
     report = transitivity_report([c.base for c in cylinders])
-    return replace(
+    validated = replace(
         table,
         condition_1_3_disjoint=disjoint,
         condition_1_4_pairwise_base_intersection=cond_1_4,
         transitive=report.transitive,
         validated=True,
     )
+    _BASE_RANKS[validated] = ranks
+    return validated
 
 
 def _pair_disjoint(a: Cylinder, b: Cylinder, budget: int) -> str:

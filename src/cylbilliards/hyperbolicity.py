@@ -24,15 +24,16 @@ of the linearized flow's velocity response and serves as a cross-check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySequence, NotNeutralError, SingularSegment, UnknownCylinderIndex
-from .flow import OrbitSegment, PhasePoint, cylinder_distance, evolve, is_singular, random_phase_point
-from .geometry import BilliardTable
-from .linalg import RANK_RTOL, nullspace, orthonormal_basis, rational_rank, rational_intersection_dim
+from .errors import EmptySequence, NotNeutralError, SingularSegment, StartsInsideScatterer, UnknownCylinderIndex
+from .flow import OrbitSegment, PhasePoint, evolve, flight_table, is_singular, random_phase_point
+from .geometry import BilliardTable, base_ranks
+from .linalg import RANK_RTOL, nullspace, orthonormal_basis
 from .tangent import collide_frame, flight_frame, segment_operators
 
 ADVANCE_SYSTEM = "advance_system"
@@ -166,28 +167,25 @@ def neutral_space_numeric(segment: OrbitSegment, table: BilliardTable | None = N
                                   method=DERIVATIVE_KERNEL)
     ops = segment_operators(segment)
     split = n // 2  # events 1..split lie behind the reference time
-    times = [e.time for e in segment.events]
-    t_lo = times[split - 1] if split >= 1 else 0.0
-    t_hi = times[split] if split < n else segment.duration
-    t_ref = 0.5 * (t_lo + t_hi)
+    flights = [e.flight for e in segment.events] + [segment.tail]
+    # The reference time is the middle of the flight that ends at event split.
+    half = 0.5 * flights[split]
 
     eye = np.eye(d)
     zeros = np.zeros((d, d))
 
     def backward_to_start(dqs, dvs):
-        t_cur = t_ref
+        dqs, dvs = flight_frame(dqs, dvs, -half)
         for k in range(split - 1, -1, -1):
-            dqs, dvs = flight_frame(dqs, dvs, times[k] - t_cur)
             dqs, dvs = collide_frame(dqs, dvs, ops[k], inverse=True)
-            t_cur = times[k]
-        return flight_frame(dqs, dvs, -t_cur)
+            dqs, dvs = flight_frame(dqs, dvs, -flights[k])
+        return dqs, dvs
 
     # Forward response: reference -> segment end.
-    dqs, dvs = flight_frame(eye, zeros, times[split] - t_ref)
+    dqs, dvs = flight_frame(eye, zeros, half)
     for k in range(split, n):
         dqs, dvs = collide_frame(dqs, dvs, ops[k])
-        t_next = times[k + 1] if k + 1 < n else segment.duration
-        dqs, dvs = flight_frame(dqs, dvs, t_next - times[k])
+        dqs, dvs = flight_frame(dqs, dvs, flights[k + 1])
     fwd = dvs
 
     # Backward response: reference -> segment start (inverse steps).
@@ -249,15 +247,10 @@ def richness_report(symbolic, table: BilliardTable) -> RichnessReport:
         if not 1 <= s <= k:
             raise UnknownCylinderIndex(f"index {s} outside 1..{k}")
     collided = tuple(sorted(set(symbolic)))
-    int_bases = {s: [list(r) for r in table.cylinder(s).base.integer_basis] for s in collided}
-    span_rows = [row for s in collided for row in int_bases[s]]
-    span_dim = rational_rank(span_rows)
+    ranks = base_ranks(table)
+    span_dim = ranks.span_dim(collided)
     full_span = span_dim == table.dim
-    min_pair: int | None = None
-    for a in range(len(collided)):
-        for b in range(a + 1, len(collided)):
-            dim_int = rational_intersection_dim(int_bases[collided[a]], int_bases[collided[b]])
-            min_pair = dim_int if min_pair is None else min(min_pair, dim_int)
+    min_pair = min((ranks.pair_dims[pair] for pair in itertools.combinations(collided, 2)), default=None)
     codim2_ok = min_pair is None or min_pair >= 2
     relaxed_ok = min_pair is None or min_pair >= 1
     return RichnessReport(collided=collided, span_dim=span_dim, full_span=full_span,
@@ -274,9 +267,9 @@ def span_decomposition(symbolic, table: BilliardTable) -> SpanDecomposition:
     symbolic = tuple(int(s) for s in symbolic)
     if not symbolic:
         raise EmptySequence("span decomposition needs a nonempty symbolic sequence")
-    collided = sorted(set(symbolic))
+    collided = tuple(sorted(set(symbolic)))
     rows = [row for s in collided for row in table.cylinder(s).base.integer_basis]
-    rank = rational_rank([list(r) for r in rows])
+    rank = base_ranks(table).span_dim(collided)
     stacked = np.array(rows, dtype=float)
     l_star = orthonormal_basis(stacked, rank=rank)
     a_star = nullspace(stacked, rank=rank)
@@ -293,6 +286,10 @@ ANSATZ = "ansatz"
 # Width of the near-tangency band used to proxy fresh post-singularity points.
 TANGENCY_BAND = 0.05
 
+# singular_flag of a survey row whose start could not be drawn or evolved;
+# the summary counts such rows as discarded.
+SAMPLE_ERROR = "error"
+
 
 @dataclass(frozen=True, eq=False)
 class SurveyRow:
@@ -306,6 +303,7 @@ class SurveyRow:
     neutral_dim: int | None
     sufficient: bool | None
     singular_flag: str
+    error: str | None = None  # why a SAMPLE_ERROR row was discarded
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,11 +353,17 @@ def survey_sufficiency(table: BilliardTable, sample_count: int, duration: float,
 def _survey_one(table: BilliardTable, sample_id: int, *, seed: int, duration: float,
                 mode: str, max_events: int, band: float) -> SurveyRow:
     rng = np.random.default_rng([seed, sample_id])
-    if mode == GENERIC:
-        x = random_phase_point(table, rng)
-    else:
-        x = _tangency_start(table, rng, band)
-    segment = evolve(x, table, duration, max_events=max_events)
+    try:
+        if mode == GENERIC:
+            x = random_phase_point(table, rng)
+        else:
+            x = _tangency_start(table, rng, band)
+        segment = evolve(x, table, duration, max_events=max_events)
+    except (RuntimeError, StartsInsideScatterer) as exc:
+        return SurveyRow(sample_id=sample_id, seed=seed, n_collisions=0, distinct_cylinders=0,
+                         span_dim=None, codim2_ok=None, full_span=None, neutral_dim=None,
+                         sufficient=None, singular_flag=SAMPLE_ERROR,
+                         error=f"{type(exc).__name__}: {exc}")
     flag = segment.singular_flag.kind if segment.singular_flag else "none"
     n = segment.n_events
     distinct = len(set(segment.symbolic))
@@ -380,6 +384,7 @@ def _survey_one(table: BilliardTable, sample_id: int, *, seed: int, duration: fl
 def _tangency_start(table: BilliardTable, rng: np.random.Generator, band: float,
                     max_tries: int = 200) -> PhasePoint:
     """Post-collision point on a scatterer boundary with cos(phi) in (0, band)."""
+    ft = flight_table(table)
     for _ in range(max_tries):
         idx = int(rng.integers(len(table.cylinders)))
         cyl = table.cylinders[idx]
@@ -392,10 +397,7 @@ def _tangency_start(table: BilliardTable, rng: np.random.Generator, band: float,
         if gen_basis.size:
             q = q + rng.random(gen_basis.shape[0]) @ gen_basis
         q = np.mod(q, 1.0)
-        clear = all(
-            cylinder_distance(q, other)[0] > other.radius
-            for j, other in enumerate(table.cylinders) if j != idx
-        )
+        clear = np.delete(ft.axis_gaps(q)[2] > ft.radius, idx).all()
         if not clear:
             continue
         cos_phi = band * rng.random()
@@ -412,7 +414,9 @@ def _tangency_start(table: BilliardTable, rng: np.random.Generator, band: float,
 def summarize_survey(rows, table: BilliardTable, **meta) -> dict:
     """Counts and fractions over survey rows."""
     n = len(rows)
-    nonsingular = [r for r in rows if not is_singular(r.singular_flag)]
+    n_discarded = sum(r.singular_flag == SAMPLE_ERROR for r in rows)
+    nonsingular = [r for r in rows if r.singular_flag != SAMPLE_ERROR and not is_singular(r.singular_flag)]
+    n_singular = n - n_discarded - len(nonsingular)
     full_span = [r for r in nonsingular if r.full_span]
     rich = [r for r in full_span if r.codim2_ok]
     sufficient_rows = [r for r in nonsingular if r.sufficient]
@@ -424,8 +428,9 @@ def summarize_survey(rows, table: BilliardTable, **meta) -> dict:
     return {
         **meta,
         "n_samples": n,
-        "n_singular": n - len(nonsingular),
-        "fraction_singular": (n - len(nonsingular)) / n if n else None,
+        "n_discarded": n_discarded,
+        "n_singular": n_singular,
+        "fraction_singular": n_singular / n if n else None,
         "n_nonsingular": len(nonsingular),
         "n_full_span": len(full_span),
         "n_codim2_rich": len(rich),

@@ -2,11 +2,13 @@
 
 Construction is exact: the orthogonal projection along an integer-spanned
 generator subspace is a rational matrix, so the projected lattice has rational
-generators. A Hermite-style row reduction extracts a rank-m generating set,
-LLL reduction shortens it, and the shortest nonzero vector is found by exact
-enumeration over the rational Gram data. Only after that does anything get
-converted to floating point (Babai rounding and ball enumeration for the
-flight loop).
+generators. Fraction-free integer elimination gives the subspace and the
+projected unit vectors, a Hermite-style row reduction extracts a rank-m
+generating set, and integral LLL reduction shortens it. Floating point enters
+only in the Babai rounding and in one breadth-first Fincke-Pohst enumeration,
+which lists ball points for the flight loop and the candidates of the
+shortest-vector search; that search takes its exact minimum over the
+candidates from the integer Gram matrix.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetExceeded
-from .linalg import rational_nullspace, rational_rref
+from .linalg import integer_nullspace, integer_rref
 
 
 def hermite_generating_rows(mat: list[list[int]]) -> list[list[int]]:
@@ -60,7 +63,7 @@ def integer_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
     """Rational rows scaled to integers by the lcm of all their denominators;
     returns the integer rows and that common scale."""
     denom = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[int(x * denom) for x in row] for row in rows], denom
+    return [[x.numerator * (denom // x.denominator) for x in row] for row in rows], denom
 
 
 def babai_round(y: np.ndarray, basis: np.ndarray,
@@ -85,113 +88,138 @@ def _rounding_radius(basis: np.ndarray) -> float:
     return 0.5 * float(np.max(np.linalg.norm(signs @ basis, axis=1)))
 
 
-def _gram_schmidt(basis: list[list[Fraction]]):
-    """Exact Gram-Schmidt: orthogonal vectors, coefficients mu, squared norms."""
-    n = len(basis)
-    ortho = [row[:] for row in basis]
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms_sq = [Fraction(0)] * n
-    for i in range(n):
-        vec = basis[i][:]
-        for j in range(i):
-            if norms_sq[j] == 0:
-                continue
-            mu[i][j] = _dot(basis[i], ortho[j]) / norms_sq[j]
-            vec = [a - mu[i][j] * b for a, b in zip(vec, ortho[j])]
-        ortho[i] = vec
-        norms_sq[i] = _dot(vec, vec)
-    return ortho, mu, norms_sq
-
-
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
 def lll_reduce(basis: list[list[Fraction]], delta: Fraction = Fraction(3, 4)) -> list[list[Fraction]]:
-    """Exact LLL reduction of independent rational basis rows."""
-    b = [row[:] for row in basis]
+    """Exact LLL reduction of independent rational basis rows.
+
+    Runs on the rows scaled to integers, which changes no decision, with the
+    integral Gram-Schmidt data of Cohen (A Course in Computational Algebraic
+    Number Theory, Alg. 2.6.7): d[i] is the Gram determinant of the first i
+    rows and lam[k][j] = d[j+1] * mu[k][j], both integers. Each row is size
+    reduced against every earlier row (mu rounded half to even) before the
+    Lovasz test with ``delta``.
+    """
+    b, scale = integer_rows(basis)
     n = len(b)
-    if n <= 1:
-        return b
-    ortho, mu, norms = _gram_schmidt(b)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = round(Fraction(lam[k][j], d[j + 1]))
             if q:
-                b[k] = [a - q * c for a, c in zip(b[k], b[j])]
-                ortho, mu, norms = _gram_schmidt(b)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                lam[k][j] -= q * d[j + 1]
+                for i in range(j):
+                    lam[k][i] -= q * lam[j][i]
+        lk = lam[k][k - 1]
+        if delta.denominator * (d[k + 1] * d[k - 1] + lk * lk) >= delta.numerator * d[k] * d[k]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            ortho, mu, norms = _gram_schmidt(b)
-            k = max(k - 1, 1)
-    return b
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        new_d = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (new_d * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = new_d
+        k = max(k - 1, 1)
+    return [[Fraction(x, scale) for x in row] for row in b]
 
 
 def shortest_vector_sq(basis: list[list[Fraction]]) -> tuple[list[Fraction], Fraction]:
-    """Shortest nonzero lattice vector by exact enumeration on a reduced basis."""
-    reduced = lll_reduce(basis)
-    _, mu, norms = _gram_schmidt(reduced)
-    n = len(reduced)
-    best_sq = min(_dot(row, row) for row in reduced)
-    best_coeff = None
+    """Shortest nonzero vector of the lattice spanned by independent rational
+    rows, and its exact squared norm.
 
-    def recurse(level: int, coeffs: list[int], partial: Fraction, centers: list[Fraction]):
-        nonlocal best_sq, best_coeff
-        if level < 0:
-            if any(coeffs) and partial < best_sq:
-                best_sq = partial
-                best_coeff = coeffs[:]
-            return
-        if norms[level] == 0:
-            return
-        center = -centers[level]
-        # |c - center|^2 * norms[level] <= best_sq - partial
-        bound = (best_sq - partial) / norms[level]
-        half_width = _isqrt_upper(bound)
-        c = _ceil_frac(center - half_width)
-        while Fraction(c) <= center + half_width:
-            diff = Fraction(c) - center
-            new_partial = partial + diff * diff * norms[level]
-            if new_partial <= best_sq:
-                coeffs[level] = c
-                new_centers = centers[:]
-                for j in range(level):
-                    new_centers[j] = centers[j] + Fraction(c) * mu[level][j]
-                recurse(level - 1, coeffs, new_partial, new_centers)
-                coeffs[level] = 0
-            c += 1
-
-    recurse(n - 1, [0] * n, Fraction(0), [Fraction(0)] * n)
-    if best_coeff is None:
-        idx = min(range(n), key=lambda i: _dot(reduced[i], reduced[i]))
-        best_coeff = [int(i == idx) for i in range(n)]
-        best_sq = _dot(reduced[idx], reduced[idx])
-    vec = [Fraction(0)] * len(reduced[0])
-    for c, row in zip(best_coeff, reduced):
-        vec = [a + c * x for a, x in zip(vec, row)]
-    return vec, best_sq
+    The shortest vector is no longer than the shortest row, so a
+    floating-point enumeration within that length (times 1 + 1e-9, far above
+    rounding error) holds it. The exact minimum over those candidates comes
+    from the integer Gram matrix of the rows scaled to integers. On a
+    reduced basis the candidates are few.
+    """
+    rows, denom = integer_rows(basis)
+    gram = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+    flt = np.array(rows, dtype=float) / denom
+    ortho, mu = _float_gram_schmidt(flt)
+    norms_sq = np.einsum("ij,ij->i", ortho, ortho)
+    reach = float(np.sqrt(np.einsum("ij,ij->i", flt, flt).min())) * (1.0 + 1e-9)
+    coeffs = _fincke_pohst(np.zeros(len(rows)), mu, norms_sq, reach)
+    best_sq, best = None, None
+    for c in coeffs.astype(int).tolist():
+        if not any(c):
+            continue
+        sq = sum(ci * cj * g for ci, row in zip(c, gram) for cj, g in zip(c, row))
+        if best_sq is None or sq < best_sq:
+            best_sq, best = sq, c
+    vec = [Fraction(sum(c * row[j] for c, row in zip(best, rows)), denom)
+           for j in range(len(rows[0]))]
+    return vec, Fraction(best_sq, denom * denom)
 
 
-def _isqrt_upper(x: Fraction) -> Fraction:
-    """A rational upper bound on sqrt(x) for x >= 0."""
-    if x <= 0:
-        return Fraction(0)
-    approx = float(x) ** 0.5
-    bound = Fraction(approx).limit_denominator(1 << 30) + Fraction(1, 1 << 20)
-    while bound * bound < x:
-        bound *= 2
-    return bound
+def _float_gram_schmidt(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt vectors and coefficients mu of float basis rows."""
+    n = rows.shape[0]
+    ortho = rows.astype(float).copy()
+    mu = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i):
+            denom = ortho[j] @ ortho[j]
+            mu[i, j] = (rows[i] @ ortho[j]) / denom
+            ortho[i] = ortho[i] - mu[i, j] * ortho[j]
+    return ortho, mu
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+def _fincke_pohst(y_gs: np.ndarray, mu: np.ndarray, norms_sq: np.ndarray, radius: float,
+                  max_points: int | None = None) -> np.ndarray:
+    """Coefficient rows c (as floats) of every lattice point within ``radius``
+    of the target, breadth-first: each level, from the last Gram-Schmidt
+    direction down, expands every partial node at once into the integers
+    its remaining budget allows (Fincke & Pohst, Math. Comp. 44, 1985).
+
+    ``y_gs`` is the target in Gram-Schmidt coordinates, ``mu`` and
+    ``norms_sq`` the Gram-Schmidt data of the basis. Nodes stay in order
+    parent first, coefficient ascending, so the rows come out sorted by
+    (c[n-1], ..., c[0]). Raises BudgetExceeded when the ball holds more than
+    ``max_points`` points.
+    """
+    n = norms_sq.size
+    r_sq = radius * radius * (1.0 + 1e-12) + 1e-300
+    coeffs = np.zeros((1, n))
+    partial = np.zeros(1)
+    shifts = np.zeros((1, n))
+    for level in range(n - 1, -1, -1):
+        center = y_gs[level] - shifts[:, level]
+        half_width = np.sqrt((r_sq - partial) / norms_sq[level])
+        lo = np.ceil(center - half_width - 1e-12)
+        count = np.maximum(np.floor(center + half_width + 1e-12) - lo + 1.0, 0.0).astype(np.intp)
+        parent = np.repeat(np.arange(count.size), count)
+        first = np.repeat(np.cumsum(count) - count, count)
+        c = lo[parent] + (np.arange(parent.size) - first)
+        diff = c - center[parent]
+        new_partial = partial[parent] + diff * diff * norms_sq[level]
+        keep = (new_partial <= r_sq).nonzero()[0]
+        parent, c, partial = parent[keep], c[keep], new_partial[keep]
+        coeffs = coeffs[parent]
+        coeffs[:, level] = c
+        shifts = shifts[parent] + c[:, None] * mu[level]
+    if max_points is not None and coeffs.shape[0] > max_points:
+        raise BudgetExceeded(f"ball enumeration exceeded {max_points} points")
+    return coeffs
 
 
 class ProjectedLattice:
-    """P_L(Z^d) with a reduced basis, exact shortest vector, and enumeration."""
+    """P_L(Z^d) with a reduced basis, exact shortest vector (computed on first
+    use), Babai rounding and enumeration."""
 
     def __init__(self, basis_rational: list[list[Fraction]], subspace_onb: np.ndarray):
         self.rank = len(basis_rational)
@@ -201,59 +229,53 @@ class ProjectedLattice:
         self.subspace_onb = np.asarray(subspace_onb, dtype=float)
         if self.subspace_onb.shape[0] != self.rank:
             raise ValueError("subspace basis rank does not match lattice rank")
-        _, self.shortest_sq = shortest_vector_sq([list(r) for r in basis_rational])
-        self.shortest_norm = float(self.shortest_sq) ** 0.5
         # Lattice basis expressed in subspace coordinates (rows) and its
         # inverse for Babai rounding, plus GS data for Fincke-Pohst enumeration.
         self.coord_basis = self.basis @ self.subspace_onb.T
         self.coord_inv = np.linalg.inv(self.coord_basis)
-        self._gs_ortho, self._gs_mu = self._float_gram_schmidt(self.coord_basis)
+        self._gs_ortho, self._gs_mu = _float_gram_schmidt(self.coord_basis)
         self._gs_norms_sq = np.array([float(v @ v) for v in self._gs_ortho])
+        self._gs_min = float(np.sqrt(self._gs_norms_sq.min()))
         # The largest distance from any point to its Babai lattice point.
         self.babai_bound = _rounding_radius(self.basis)
 
-    @staticmethod
-    def _float_gram_schmidt(rows: np.ndarray):
-        n = rows.shape[0]
-        ortho = rows.astype(float).copy()
-        mu = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i):
-                denom = ortho[j] @ ortho[j]
-                mu[i, j] = (rows[i] @ ortho[j]) / denom
-                ortho[i] = ortho[i] - mu[i, j] * ortho[j]
-        return ortho, mu
+    @cached_property
+    def shortest_sq(self) -> Fraction:
+        """Exact squared length of the shortest nonzero lattice vector,
+        computed on first use."""
+        return shortest_vector_sq([list(r) for r in self.basis_rational])[1]
+
+    @cached_property
+    def shortest_norm(self) -> float:
+        return float(self.shortest_sq) ** 0.5
 
     @classmethod
     def from_generator(cls, generator_rows: list[list[int]], dim: int,
                        subspace_onb: np.ndarray | None = None) -> "ProjectedLattice":
         """Lattice P_L(Z^d) for L = (span of integer generator rows)^perp."""
-        from .linalg import fractions_to_float, orthonormal_basis
+        from .linalg import orthonormal_basis
 
         gens = hermite_generating_rows([[int(x) for x in row] for row in generator_rows])
         if not gens:
             basis = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
             onb = np.eye(dim) if subspace_onb is None else subspace_onb
             return cls(basis, onb)
-        sub_basis = rational_nullspace(gens)
-        m = len(sub_basis)
-        # Coordinates of every projected unit vector P_L e_j in the rational
-        # subspace basis S: since S P_L = S, they are the columns of (S S^T)^-1 S.
-        sub_gram = [[_dot(sub_basis[i], sub_basis[j]) for j in range(m)] for i in range(m)]
-        solved, _ = rational_rref([g + s for g, s in zip(sub_gram, sub_basis)])
-        coords = [[solved[i][m + j] for i in range(m)] for j in range(dim)]
-        int_rows, denom = integer_rows(coords)
-        reduced_rows = hermite_generating_rows(int_rows)
-        ambient = []
-        for row in reduced_rows:
-            vec = [Fraction(0)] * dim
-            for c, sub in zip(row, sub_basis):
-                if c:
-                    vec = [a + Fraction(c, denom) * s for a, s in zip(vec, sub)]
-            ambient.append(vec)
-        ambient = lll_reduce(ambient)
+        sub = integer_nullspace(gens)
+        m = len(sub)
+        # Coordinates of every projected unit vector P_L e_j in the integer
+        # subspace basis S: since S P_L = S, they are the columns of
+        # (S S^T)^-1 S, here times the common pivot D of the elimination.
+        gram = [[sum(x * y for x, y in zip(a, b)) for b in sub] for a in sub]
+        solved, _ = integer_rref([g + s for g, s in zip(gram, sub)])
+        scale = solved[0][0]
+        coords = [[row[m + j] for row in solved] for j in range(dim)]
+        reduced_rows = hermite_generating_rows(coords)
+        ambient = lll_reduce([[Fraction(sum(c * s[j] for c, s in zip(row, sub)), scale)
+                               for j in range(dim)] for row in reduced_rows])
         if subspace_onb is None:
-            subspace_onb = orthonormal_basis(fractions_to_float(sub_basis), rank=m)
+            # S with a 1 in each row's free column, its last nonzero entry.
+            unit = [[x / next(y for y in reversed(row) if y) for x in row] for row in sub]
+            subspace_onb = orthonormal_basis(np.array(unit), rank=m)
         return cls(ambient, subspace_onb)
 
     def to_coords(self, vec: np.ndarray) -> np.ndarray:
@@ -279,7 +301,14 @@ class ProjectedLattice:
         BudgetExceeded when that ball holds more than ``max_points`` points."""
         y = self.to_coords(target)
         _, resid = self.reduce(y)
-        coeffs = self._enumerate(y, float(np.linalg.norm(resid)) + 1e-12, max_points)
+        gap = float(np.linalg.norm(resid))
+        # Any other lattice point lies at least lambda_1 - gap away, and no
+        # Gram-Schmidt length exceeds lambda_1: below half the smallest one
+        # the Babai point is the only point of the search ball.
+        if 2.0 * gap + 1e-9 < self._gs_min and (max_points is None or max_points >= 1):
+            coeffs = np.rint(y @ self.coord_inv)[None, :]
+        else:
+            coeffs = self._enumerate(y, gap + 1e-12, max_points)
         dists = np.linalg.norm(coeffs @ self.coord_basis - y, axis=1)
         k = int(np.argmin(dists))
         return coeffs[k] @ self.basis, float(dists[k])
@@ -287,36 +316,6 @@ class ProjectedLattice:
     def _enumerate(self, y: np.ndarray, radius: float,
                    max_points: int | None = None) -> np.ndarray:
         """Fincke-Pohst enumeration of ``{c in Z^m : |c @ B - y| <= radius}``."""
-        n = self.rank
-        r_sq = radius * radius * (1.0 + 1e-12) + 1e-300
         norms = self._gs_norms_sq
-        mu = self._gs_mu
-        # Target coordinates in the Gram-Schmidt frame.
-        y_gs = np.array([(y @ self._gs_ortho[j]) / norms[j] for j in range(n)])
-        out: list[list[int]] = []
-
-        def recurse(level: int, coeffs: list[int], partial: float, shifts: np.ndarray):
-            if level < 0:
-                out.append(coeffs[:])
-                if max_points is not None and len(out) > max_points:
-                    raise BudgetExceeded(f"ball enumeration exceeded {max_points} points")
-                return
-            center = y_gs[level] - shifts[level]
-            budget = r_sq - partial
-            if budget < 0:
-                return
-            half_width = (budget / norms[level]) ** 0.5
-            lo = int(np.ceil(center - half_width - 1e-12))
-            hi = int(np.floor(center + half_width + 1e-12))
-            for c in range(lo, hi + 1):
-                diff = c - center
-                new_partial = partial + diff * diff * norms[level]
-                if new_partial > r_sq:
-                    continue
-                coeffs[level] = c
-                recurse(level - 1, coeffs, new_partial, shifts + c * mu[level])
-            coeffs[level] = 0
-
-        recurse(n - 1, [0] * n, 0.0, np.zeros(n))
-        return np.array(out, dtype=float) if out else np.zeros((0, n))
-
+        y_gs = np.array([(y @ self._gs_ortho[j]) / norms[j] for j in range(self.rank)])
+        return _fincke_pohst(y_gs, self._gs_mu, norms, radius, max_points)

@@ -1,13 +1,14 @@
 """Small dense linear algebra: SVD-based spans/kernels and exact rational ranks.
 
 Float routines use a relative singular-value threshold; routines on integer
-input go through ``fractions.Fraction`` so that rank decisions are exact and
-never depend on conditioning.
+input are exact, so that rank decisions never depend on conditioning: they
+run fraction-free on Python integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
+import operator
 
 import numpy as np
 
@@ -88,77 +89,62 @@ def subspace_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational elimination
+# Exact integer elimination
 # ---------------------------------------------------------------------------
 
 
-def to_fractions(mat) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in mat]
+def integer_rref(mat) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced row echelon form of an integer matrix: its
+    nonzero rows and their pivot columns.
 
-
-def rational_rref(mat: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rref rows, pivot columns)."""
-    m = [row[:] for row in mat]
-    if not m:
-        return [], []
-    rows, cols = len(m), len(m[0])
+    Bareiss elimination (Math. Comp. 22, 1968) run Gauss-Jordan style: at
+    each pivot p every other row becomes (p * row - f * pivot row) / previous
+    pivot, a division that is always exact because every entry stays a minor
+    of the input. All pivot entries end equal to one integer D, so the
+    rational RREF is these rows divided by D.
+    """
+    m = [[operator.index(x) for x in row] for row in mat]
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot_row is None:
+    prev = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1, 1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        m[r], m[pivot] = m[pivot], m[r]
+        top = m[r]
+        p = top[c]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i == r or not f and p == prev:
+                continue  # a row with f = 0 is only rescaled by p / prev
+            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if len(pivots) == len(m):
             break
-    return m, pivots
+    return m[:len(pivots)], pivots
 
 
 def rational_rank(mat) -> int:
-    _, pivots = rational_rref(to_fractions(mat))
-    return len(pivots)
+    """Exact rank of an integer matrix."""
+    return len(integer_rref(mat)[1])
 
 
-def rational_nullspace(mat, dim: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right null space over Q (one vector per free column)."""
-    frac = to_fractions(mat)
-    if not frac:
-        if dim is None:
-            raise ValueError("empty input needs an explicit ambient dimension")
-        return [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    cols = len(frac[0])
-    rref, pivots = rational_rref(frac)
-    free = [c for c in range(cols) if c not in pivots]
+def integer_nullspace(mat) -> list[list[int]]:
+    """Basis of the right null space of a nonempty integer matrix, one row
+    per free column c: the rational null vector with a 1 at c (as the
+    rational RREF gives it) scaled to a primitive integer vector. Its other
+    nonzero entries sit in pivot columns left of c, so c is each row's last
+    nonzero entry."""
+    rows, pivots = integer_rref(mat)
+    cols = len(mat[0])
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(vec)
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [0] * cols
+        vec[fc] = rows[0][pivots[0]] if rows else 1
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc]
+        g = math.gcd(*vec) * (1 if vec[fc] > 0 else -1)
+        basis.append([x // g for x in vec])
     return basis
-
-
-def rational_intersection_dim(basis_a, basis_b) -> int:
-    """dim(span A ∩ span B) = dim A + dim B - rank [A; B], exactly over Q."""
-    a = to_fractions(basis_a)
-    b = to_fractions(basis_b)
-    ra = len(rational_rref(a)[1]) if a else 0
-    rb = len(rational_rref(b)[1]) if b else 0
-    stacked = a + b
-    rs = len(rational_rref(stacked)[1]) if stacked else 0
-    return ra + rb - rs
-
-
-def fractions_to_float(mat: list[list[Fraction]]) -> np.ndarray:
-    if not mat:
-        return np.zeros((0, 0))
-    return np.array([[float(x) for x in row] for row in mat], dtype=float)

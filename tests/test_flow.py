@@ -23,6 +23,7 @@ from cylbilliards import (
     reflect,
     validate_table,
 )
+from cylbilliards.flow import flight_table
 
 from conftest import clean, tori_distance
 
@@ -399,3 +400,35 @@ class TestCollisionOracle:
         elif not (ev.grazing or ev.near_double):
             assert ev.cylinder_index == brute[1]
             assert abs(ev.time - brute[0]) < 1e-9
+
+
+class TestStartChecks:
+    @settings(max_examples=60, deadline=None)
+    @given(small_tables(), st.data())
+    def test_stacked_distances_match_nearest(self, spec, data):
+        d, specs = spec
+        table = build_table([build_cylinder(g, t, r, d) for g, t, r in specs])
+        q = np.array(data.draw(st.lists(st.floats(0.0, 0.999), min_size=d, max_size=d)))
+        _, _, dists = flight_table(table).axis_gaps(q)
+        want = [cylinder_distance(q, cyl)[0] for cyl in table.cylinders]
+        assert np.allclose(dists, want, rtol=0.0, atol=1e-12)
+        clearance = _brute_clearance(q, specs)
+        assert float(np.min(dists - [r for _, _, r in specs])) == pytest.approx(clearance, abs=1e-12)
+        if clearance < -1e-9:
+            with pytest.raises(StartsInsideScatterer):
+                next_collision(PhasePoint(q, np.eye(d)[0]), table, 1.0)
+
+    def test_ball_holds_the_nearest_translate_of_a_thin_lattice(self):
+        # Here babai_bound (0.36) exceeds r + 2 lambda_1 (0.21). Just inside
+        # an edge of the Babai rounding cell the nearest translate lies 0.71
+        # from the Babai point, so the ball must reach 2 babai_bound.
+        cyl = build_cylinder([[9, 9, -11]], [0.0, 0.0, 0.0], 0.04, 3)
+        table = build_table([cyl])
+        lat = cyl.lattice
+        assert lat.babai_bound > cyl.radius + 2.0 * lat.shortest_norm
+        edge = np.linspace(-0.5, 0.5, 101)
+        cell = np.vstack([np.column_stack([edge, np.full_like(edge, side)]) for side in (0.4999, -0.4999)])
+        for t in np.vstack([cell, cell[:, ::-1]]):
+            q = np.mod(t @ lat.coord_basis @ lat.subspace_onb, 1.0)
+            got = flight_table(table).axis_gaps(q)[2][0]
+            assert got == pytest.approx(cylinder_distance(q, cyl)[0], abs=1e-12)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,8 @@ from cylbilliards import (
     sufficiency,
     survey_sufficiency,
 )
-from cylbilliards.linalg import subspace_angle
+from cylbilliards import StartsInsideScatterer, build_cylinder, build_table, hyperbolicity, validate_table
+from cylbilliards.linalg import rational_rank, subspace_angle
 
 from conftest import clean, segment_with_events
 
@@ -198,6 +202,20 @@ class TestNeutralSpaceNumeric:
                 checked += 1
         assert checked == 36
 
+    def test_absolute_times_are_not_used(self, skew3):
+        # Deep in a long orbit event times are large and their differences
+        # lose precision; the kernel method reads only per-flight durations,
+        # so shifting every absolute time changes nothing.
+        seg = segment_with_events(skew3, np.random.default_rng(31), 6)
+        shift = 1e7
+        deep = dataclasses.replace(
+            seg, duration=seg.duration + shift,
+            events=tuple(dataclasses.replace(e, time=e.time + shift) for e in seg.events))
+        a, b = neutral_space_numeric(seg), neutral_space_numeric(deep)
+        assert np.array_equal(a.basis, b.basis)
+        assert a.advances == b.advances
+        assert subspace_angle(a.basis, neutral_space_advance(seg).basis) < 1e-8
+
     def test_advance_tuples_agree_between_methods(self, ortho3):
         rng = np.random.default_rng(8)
         seg = segment_with_events(ortho3, rng, 4)
@@ -255,6 +273,32 @@ class TestRichness:
     def test_empty_sequence(self, sinai2):
         with pytest.raises(EmptySequence):
             richness_report((), sinai2)
+
+    @pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4", "wide5"])
+    def test_cached_reports_match_uncached(self, name, request):
+        if name == "wide5":
+            table = validate_table(build_table([
+                build_cylinder([], [0.5] * 5, 0.1, 5),
+                build_cylinder([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], [0] * 5, 0.2, 5),
+                build_cylinder([[0, 0, 1, 0, 0]], [0, 0, 0, 0.5, 0], 0.15, 5),
+                build_cylinder([[0, 0, 0, 1, 1]], [0, 0, 0.5, 0, 0], 0.15, 5)]))
+        else:
+            table = request.getfixturevalue(name)
+        bases = {i: [list(r) for r in c.base.integer_basis] for i, c in enumerate(table.cylinders, start=1)}
+        fresh = build_table(table.cylinders)  # not validated: ranks computed on first use
+        for size in range(1, len(bases) + 1):
+            for subset in itertools.combinations(bases, size):
+                pairs = [rational_rank(bases[a]) + rational_rank(bases[b]) - rational_rank(bases[a] + bases[b])
+                         for a, b in itertools.combinations(subset, 2)]
+                span = rational_rank([row for i in subset for row in bases[i]])
+                for t in (table, fresh, table):
+                    rep = richness_report(subset[::-1] + subset, t)
+                    assert rep.collided == subset
+                    assert rep.span_dim == span
+                    assert rep.full_span == (span == table.dim)
+                    assert rep.min_pair_intersection_dim == min(pairs, default=None)
+                    assert rep.codim2_ok == all(p >= 2 for p in pairs)
+                    assert rep.relaxed_ok == all(p >= 1 for p in pairs)
 
     def test_codim2_implies_relaxed(self, parallel3, ortho3, sinai2, skew3):
         for table, symbolic in [(parallel3, (1, 2)), (ortho3, (1, 2)),
@@ -351,6 +395,34 @@ class TestSurvey:
             assert r.sufficient == verdict.sufficient
         assert result.summary["n_singular"] == 0
         assert result.summary["n_nonsingular"] == 6
+
+    def test_failed_samples_are_discarded_not_fatal(self, ortho3, monkeypatch):
+        real_start, real_evolve = hyperbolicity._tangency_start, hyperbolicity.evolve
+        calls = {"start": 0, "evolve": 0}
+
+        def flaky_start(*args, **kwargs):
+            calls["start"] += 1
+            if calls["start"] % 3 == 0:
+                raise RuntimeError("could not sample a clear near-tangency boundary point")
+            return real_start(*args, **kwargs)
+
+        def flaky_evolve(*args, **kwargs):
+            calls["evolve"] += 1
+            if calls["evolve"] % 4 == 0:
+                raise StartsInsideScatterer("start point is inside cylinder 1")
+            return real_evolve(*args, **kwargs)
+
+        monkeypatch.setattr(hyperbolicity, "_tangency_start", flaky_start)
+        monkeypatch.setattr(hyperbolicity, "evolve", flaky_evolve)
+        result = survey_sufficiency(ortho3, 12, 10.0, seed=4, mode="ansatz")
+        errors = [r for r in result.rows if r.singular_flag == "error"]
+        assert [r.sample_id for r in result.rows] == list(range(12))
+        assert {r.error.split(":")[0] for r in errors} == {"RuntimeError", "StartsInsideScatterer"}
+        assert all(r.neutral_dim is None and r.n_collisions == 0 for r in errors)
+        s = result.summary
+        assert s["n_discarded"] == len(errors) >= 5
+        assert s["n_discarded"] + s["n_singular"] + s["n_nonsingular"] == 12
+        assert s["n_nonsingular"] == sum(r.singular_flag == "none" for r in result.rows)
 
     def test_singular_fraction_reported(self, sinai2):
         result = survey_sufficiency(sinai2, 30, 10.0, seed=21)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cylbilliards.errors import BudgetExceeded
 from cylbilliards.lattice import (
@@ -176,3 +179,151 @@ def test_babai_bound_is_the_largest_rounding_residual(name, request):
         far = vertices[np.argmax(np.linalg.norm(vertices, axis=1))]
         _, resid = lat.reduce((1 - 1e-12) * far)
         assert np.linalg.norm(resid) >= lat.babai_bound - 1e-9
+
+
+def coefficient_box(basis, center, radius):
+    """Every integer coefficient row c that can put c @ basis within radius
+    of center (a point of the basis span): |c_i - c0_i| <= radius * |dual
+    row i| by Cauchy-Schwarz, with one unit of slack for rounding."""
+    gram_inv = np.linalg.inv(basis @ basis.T)
+    c0 = np.linalg.lstsq(basis.T, center, rcond=None)[0]
+    half = radius * np.sqrt(np.diag(gram_inv)) + 1.0
+    ranges = [range(int(np.floor(a - h)), int(np.ceil(a + h)) + 1) for a, h in zip(c0, half)]
+    return np.array(list(itertools.product(*ranges)), dtype=float)
+
+
+@st.composite
+def generator_lattices(draw):
+    d = draw(st.integers(2, 5))
+    n_gen = draw(st.integers(0, d - 2))
+    gens = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                         min_size=n_gen, max_size=n_gen))
+    assume(n_gen == 0 or np.linalg.matrix_rank(np.array(gens, dtype=float)) == n_gen)
+    return ProjectedLattice.from_generator(gens, d)
+
+
+@st.composite
+def rational_bases(draw, max_rank=3):
+    m = draw(st.integers(1, max_rank))
+    d = draw(st.integers(m, max_rank + 1))
+    den = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d), min_size=m, max_size=m))
+    assume(np.linalg.matrix_rank(np.array(rows, dtype=float)) == m)
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def box_shortest_sq(basis_rational):
+    """Exact smallest nonzero squared length over the whole coefficient box
+    of radius min |b_i|, from the integer Gram matrix of the scaled rows."""
+    basis = np.array([[float(x) for x in row] for row in basis_rational])
+    box = coefficient_box(basis, np.zeros(basis.shape[1]), np.linalg.norm(basis, axis=1).min())
+    box = box[box.any(axis=1)].astype(np.int64)
+    den = math.lcm(*(x.denominator for row in basis_rational for x in row))
+    ints = np.array([[int(x * den) for x in row] for row in basis_rational], dtype=np.int64)
+    sq = np.einsum("ij,jk,ik->i", box, ints @ ints.T, box)
+    return Fraction(int(sq.min()), den * den)
+
+
+class TestAgainstCoefficientBox:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(generator_lattices(), rational_bases()))
+    def test_shortest_sq(self, lat_or_basis):
+        if isinstance(lat_or_basis, ProjectedLattice):
+            basis_rational, got = lat_or_basis.basis_rational, lat_or_basis.shortest_sq
+        else:
+            basis_rational, got = lat_or_basis, shortest_vector_sq(lat_or_basis)[1]
+        assert got == box_shortest_sq(basis_rational)
+
+    @settings(max_examples=60, deadline=None)
+    @given(generator_lattices(), st.data())
+    def test_points_in_ball_and_budgets(self, lat, data):
+        d = lat.ambient_dim
+        center = np.array(data.draw(st.lists(st.floats(-1.5, 1.5), min_size=d, max_size=d)))
+        radius = data.draw(st.floats(0.0, 2.5))
+        center_proj = lat.subspace_onb.T @ (lat.subspace_onb @ center)
+        box = coefficient_box(lat.basis, center_proj, radius) @ lat.basis
+        dist = np.linalg.norm(box - center_proj, axis=1)
+        # Points within rounding of the sphere are not decided.
+        assume(not np.any(np.abs(dist - radius) < 1e-9 * (1.0 + radius)))
+        want = box[dist <= radius]
+        got = lat.points_in_ball(center, radius)
+        assert np.array_equal(np.unique(np.round(got, 9), axis=0), np.unique(np.round(want, 9), axis=0))
+        assert got.shape == want.shape
+        for budget in (0, 1, 2):
+            if len(want) > budget:
+                with pytest.raises(BudgetExceeded):
+                    lat.points_in_ball(center, radius, max_points=budget)
+            else:
+                assert lat.points_in_ball(center, radius, max_points=budget).shape == want.shape
+
+
+def reference_lll(basis, delta=Fraction(3, 4)):
+    """Textbook LLL over Fractions, recomputing Gram-Schmidt after every
+    change: the reference the integral version must reproduce row for row."""
+    def gram_schmidt(b):
+        ortho, mu, norms = [], [[Fraction(0)] * len(b) for _ in b], []
+        for i, row in enumerate(b):
+            vec = row[:]
+            for j in range(i):
+                mu[i][j] = sum(x * y for x, y in zip(row, ortho[j])) / norms[j]
+                vec = [a - mu[i][j] * c for a, c in zip(vec, ortho[j])]
+            ortho.append(vec)
+            norms.append(sum(x * x for x in vec))
+        return mu, norms
+
+    b = [row[:] for row in basis]
+    mu, norms = gram_schmidt(b)
+    k = 1
+    while k < len(b):
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                mu, norms = gram_schmidt(b)
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, norms = gram_schmidt(b)
+            k = max(k - 1, 1)
+    return b
+
+
+def reference_enumeration(lat, y, radius):
+    """Depth-first Fincke-Pohst over the lattice's Gram-Schmidt data, in the
+    order (c[m-1], ..., c[0]) ascending."""
+    norms, mu = lat._gs_norms_sq, lat._gs_mu
+    y_gs = [(y @ lat._gs_ortho[j]) / norms[j] for j in range(lat.rank)]
+    r_sq = radius * radius * (1.0 + 1e-12) + 1e-300
+    out = []
+
+    def recurse(level, coeffs, partial, shifts):
+        if level < 0:
+            out.append(coeffs[:])
+            return
+        center = y_gs[level] - shifts[level]
+        half_width = ((r_sq - partial) / norms[level]) ** 0.5
+        for c in range(int(np.ceil(center - half_width - 1e-12)), int(np.floor(center + half_width + 1e-12)) + 1):
+            diff = c - center
+            new_partial = partial + diff * diff * norms[level]
+            if new_partial <= r_sq:
+                coeffs[level] = c
+                recurse(level - 1, coeffs, new_partial, shifts + c * mu[level])
+        coeffs[level] = 0
+
+    recurse(lat.rank - 1, [0] * lat.rank, 0.0, np.zeros(lat.rank))
+    return np.array(out, dtype=float).reshape(-1, lat.rank)
+
+
+class TestAgainstReferenceLoops:
+    @settings(max_examples=80, deadline=None)
+    @given(rational_bases(max_rank=5))
+    def test_integral_lll_reproduces_fraction_lll(self, basis):
+        assert lll_reduce(basis) == reference_lll(basis)
+
+    @settings(max_examples=60, deadline=None)
+    @given(generator_lattices(), st.data())
+    def test_breadth_first_enumeration_reproduces_depth_first(self, lat, data):
+        y = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=lat.rank, max_size=lat.rank)))
+        radius = data.draw(st.floats(0.0, 2.5))
+        assert np.array_equal(lat._enumerate(y, radius), reference_enumeration(lat, y, radius))
