@@ -18,8 +18,8 @@ N down to the left-null directions of the residual B_k W_k - alpha_k B_k v_k.
 The surviving rows span the neutral space; the segment is sufficient
 (geometrically hyperbolic) exactly when that space is the line spanned by the
 velocity. The same walk from a single row gives that row's advance tuple. An
-independent derivative-kernel method computes the same space from the kernel
-of the linearized flow's velocity response and serves as a cross-check.
+independent derivative-kernel method, a forward sweep of the linearized flow,
+computes the same space and serves as a cross-check.
 """
 
 from __future__ import annotations
@@ -33,13 +33,14 @@ import numpy as np
 from .errors import EmptySequence, NotNeutralError, SingularSegment, StartsInsideScatterer, UnknownCylinderIndex
 from .flow import OrbitSegment, PhasePoint, evolve, flight_table, is_singular, random_phase_point
 from .geometry import BilliardTable, base_ranks
-from .linalg import RANK_RTOL, nullspace, orthonormal_basis
-from .tangent import collide_frame, flight_frame, segment_operators
+from .linalg import nullspace, orthonormal_basis
+from .tangent import transport
 
 ADVANCE_SYSTEM = "advance_system"
 DERIVATIVE_KERNEL = "derivative_kernel"
 
-# Residual tolerance when solving per-collision advance constraints.
+# Absolute rank tolerance, scaled by max(1, norm), of the per-collision cuts
+# of both neutral-space sweeps.
 ADVANCE_ATOL = 1e-8
 
 
@@ -49,9 +50,9 @@ class NeutralSpaceResult:
     dim: int
     advances: tuple[tuple[float, ...], ...]  # one advance tuple per basis row
     method: str
-    # Rank margins of the advance walk, each over its threshold: the largest
+    # Rank margins of the sweep, each over its threshold: the largest
     # singular value treated as zero (0.0 if none) and the smallest one
-    # dropped (None if none). The derivative-kernel method leaves both None.
+    # dropped (None if none).
     largest_kept_sv: float | None = None
     smallest_dropped_sv: float | None = None
 
@@ -86,6 +87,18 @@ def _require_nonsingular(segment: OrbitSegment) -> None:
         raise SingularSegment(f"segment flagged {flag.kind}")
 
 
+def _rank(s: np.ndarray, threshold: float, kept: list, dropped: list) -> int:
+    """Number of singular values above ``threshold``. Appends the ratio to it
+    of the largest value treated as zero to ``kept``, and of the smallest
+    value counted to ``dropped``, when there is one."""
+    rank = int(np.count_nonzero(s > threshold))
+    if rank < s.size:
+        kept.append(float(s[rank]) / threshold)
+    if rank:
+        dropped.append(float(s[rank - 1]) / threshold)
+    return rank
+
+
 def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult:
     """Forward elimination of the advance system from candidate ``rows``.
 
@@ -95,7 +108,7 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
     """
     basis = images = rows
     advances = np.zeros((rows.shape[0], len(segment.events)))
-    largest_kept, dropped = 0.0, []
+    kept, dropped = [], []
     for k, event in enumerate(segment.events):
         base_rows = event.cylinder.base_basis
         w_b = images @ base_rows.T
@@ -107,20 +120,17 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
         # |W_k|_2^2 is the top eigenvalue of the p x p Gram matrix, a third of
         # the cost of np.linalg.norm(images, 2).
         threshold = ADVANCE_ATOL * math.sqrt(max(1.0, float(np.linalg.eigvalsh(images @ images.T)[-1])))
-        rank = int(np.count_nonzero(s > threshold))
-        if rank < s.size:
-            largest_kept = max(largest_kept, float(s[rank]) / threshold)
+        rank = _rank(s, threshold, kept, dropped)
         if rank:
             if rank == basis.shape[0]:
                 raise NotNeutralError(k, float(s[-1]))
-            dropped.append(float(s[rank - 1]) / threshold)
             keep = u[:, rank:].T
             basis, images, advances, alpha = keep @ basis, keep @ images, keep @ advances, keep @ alpha
         advances[:, k] = alpha
         images = images + np.outer(alpha, event.v_post - event.v_pre)
-    return NeutralSpaceResult(basis=basis, dim=basis.shape[0],
-                              advances=tuple(map(tuple, advances.tolist())), method=ADVANCE_SYSTEM,
-                              largest_kept_sv=largest_kept, smallest_dropped_sv=min(dropped, default=None))
+    return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
+                              method=ADVANCE_SYSTEM, largest_kept_sv=max(kept, default=0.0),
+                              smallest_dropped_sv=min(dropped, default=None))
 
 
 def neutral_space_advance(segment: OrbitSegment, table: BilliardTable | None = None) -> NeutralSpaceResult:
@@ -151,68 +161,39 @@ def advance_functionals(segment: OrbitSegment, translation, table: BilliardTable
 def neutral_space_numeric(segment: OrbitSegment, table: BilliardTable | None = None) -> NeutralSpaceResult:
     """Neutral space from the derivative kernel.
 
-    Plants pure translations (W, 0) at a reference time strictly inside the
-    segment, transports them to both ends with the linearized flow, and takes
-    the kernel of the stacked velocity responses. The kernel is transported
-    back to the segment start so results are directly comparable with the
-    advance method. A zero-collision segment returns the full space.
+    One forward sweep of the linearized flow carries candidate translations
+    (W, 0), starting at I_d. A translation is neutral when its velocity
+    response stays zero, so at collision k the candidates are cut to the
+    kernel of their gain images W_k G_k^T, with singular values up to
+    ADVANCE_ATOL * max(1, |G_k|_2) counted as zero, and the survivors' images
+    move on by R_k. Each advance is read off the tangent flow as
+    -<normal, W_k>/cos(phi). The images stay orthonormal, so long segments
+    lose no precision. A zero-collision segment returns the full space.
     """
     _require_nonsingular(segment)
-    table = table or segment.table
-    d = table.dim
-    n = len(segment.events)
-    if n == 0:
-        eye = np.eye(d)
-        return NeutralSpaceResult(basis=eye, dim=d, advances=tuple(() for _ in range(d)),
-                                  method=DERIVATIVE_KERNEL)
-    ops = segment_operators(segment)
-    split = n // 2  # events 1..split lie behind the reference time
-    flights = [e.flight for e in segment.events] + [segment.tail]
-    # The reference time is the middle of the flight that ends at event split.
-    half = 0.5 * flights[split]
+    d = (table or segment.table).dim
+    events = segment.events
+    basis = np.eye(d)
+    advances = np.zeros((d, len(events)))
+    kept, dropped = [], []
 
-    eye = np.eye(d)
-    zeros = np.zeros((d, d))
+    def cut(k, pre, post, step):
+        nonlocal basis, advances
+        u, s, _ = np.linalg.svd(post[:, d:])
+        # The step's upper right block is G_k^T.
+        rank = _rank(s, ADVANCE_ATOL * max(1.0, float(np.linalg.norm(step[:d, d:], 2))), kept, dropped)
+        if rank:
+            keep = u[:, rank:].T
+            basis, advances, post = keep @ basis, keep @ advances, keep @ post
+        post[:, d:] = 0.0
+        # R_k negates the normal, so <normal, R_k W_k> = -<normal, W_k>.
+        advances[:, k] = post[:, :d] @ events[k].normal / events[k].cos_phi
+        return post
 
-    def backward_to_start(dqs, dvs):
-        dqs, dvs = flight_frame(dqs, dvs, -half)
-        for k in range(split - 1, -1, -1):
-            dqs, dvs = collide_frame(dqs, dvs, ops[k], inverse=True)
-            dqs, dvs = flight_frame(dqs, dvs, -flights[k])
-        return dqs, dvs
-
-    # Forward response: reference -> segment end.
-    dqs, dvs = flight_frame(eye, zeros, half)
-    for k in range(split, n):
-        dqs, dvs = collide_frame(dqs, dvs, ops[k])
-        dqs, dvs = flight_frame(dqs, dvs, flights[k + 1])
-    fwd = dvs
-
-    # Backward response: reference -> segment start (inverse steps).
-    _, bwd = backward_to_start(eye, zeros)
-
-    stacked = np.hstack([fwd, bwd])  # row i = response of W = e_i
-    kernel = nullspace(stacked.T, rtol=RANK_RTOL)
-
-    # Transport kernel vectors to the segment start frame.
-    dqs, _ = backward_to_start(kernel, np.zeros_like(kernel))
-    basis = orthonormal_basis(dqs, rtol=RANK_RTOL)
-    advances = tuple(_advances_by_transport(segment, ops, w) for w in basis)
-    return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=advances,
-                              method=DERIVATIVE_KERNEL)
-
-
-def _advances_by_transport(segment: OrbitSegment, ops, w: np.ndarray) -> tuple[float, ...]:
-    """Advances of a (numerically) neutral vector read off the tangent flow:
-    at each collision the time slide is -<normal, W_k>/cos(phi)."""
-    dqs = np.atleast_2d(np.asarray(w, dtype=float))
-    dvs = np.zeros_like(dqs)
-    alphas = []
-    for event, op in zip(segment.events, ops):
-        dqs, dvs = flight_frame(dqs, dvs, event.flight)
-        alphas.append(-float(event.normal @ dqs[0]) / event.cos_phi)
-        dqs, dvs = collide_frame(dqs, dvs, op)
-    return tuple(alphas)
+    transport(np.hstack([basis, np.zeros((d, d))]), events, segment.tail, visit=cut)
+    return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
+                              method=DERIVATIVE_KERNEL, largest_kept_sv=max(kept, default=0.0),
+                              smallest_dropped_sv=min(dropped, default=None))
 
 
 def sufficiency(segment: OrbitSegment, table: BilliardTable | None = None,

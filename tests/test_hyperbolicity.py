@@ -202,6 +202,19 @@ class TestNeutralSpaceNumeric:
                 checked += 1
         assert checked == 36
 
+    @pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4"])
+    def test_long_segments_agree_with_advance_method(self, request, name):
+        # The forward sweep keeps its images orthonormal, so it stays exact
+        # where transports that grow with the dynamics lose the kernel.
+        table = request.getfixturevalue(name)
+        seg = segment_with_events(table, np.random.default_rng(300), 300)
+        a = neutral_space_advance(seg)
+        b = neutral_space_numeric(seg)
+        assert a.dim == b.dim
+        assert subspace_angle(a.basis, b.basis) <= 1e-6
+        assert b.largest_kept_sv < 1e-3
+        assert b.smallest_dropped_sv > 1e3
+
     def test_absolute_times_are_not_used(self, skew3):
         # Deep in a long orbit event times are large and their differences
         # lose precision; the kernel method reads only per-flight durations,

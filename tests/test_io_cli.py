@@ -193,6 +193,23 @@ class TestCli:
         assert doc["exponents"][0] > 0
         assert doc["seed"] == 5
 
+    def test_lyapunov_tangential_orbit_writes_partial_report(self, tmp_path, capsys):
+        # Nearly along the shared generator, the first collision grazes: the
+        # run is a singularity abort (exit 4) with a partial report.
+        dense3 = {"dimension": 3, "cylinders": [
+            {"generator": [[0, 0, 1]], "translation": [0.0, 0.0, 0.0], "radius": 0.35},
+            {"generator": [[0, 0, 1]], "translation": [0.5, 0.5, 0.0], "radius": 0.35},
+        ]}
+        scen = tmp_path / "tang.json"
+        scen.write_text(json.dumps({"table": dense3, "seed": 0, "duration": 1e12,
+                                    "start": {"q": [0.5, 0.05, 0.1], "v": [3e-11, 1e-11, 1.0]}}))
+        out = tmp_path / "out"
+        assert main(["lyapunov", "--scenario", str(scen), "--out", str(out)]) == 4
+        doc = json.loads((out / "lyapunov_partial.json").read_text())
+        assert doc["n_events"] == 0
+        assert all(np.isfinite(doc["exponents"]))
+        assert not (out / "lyapunov.json").exists()
+
     def test_sufficiency_command(self, tmp_path, capsys):
         scen = _write_scenario(tmp_path, "sf.json", {
             "duration": 10.0,

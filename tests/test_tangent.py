@@ -27,6 +27,7 @@ from cylbilliards import (
     time_reverse,
     validate_table,
 )
+from cylbilliards.tangent import BLOCK, evolve_frame, segment_operators
 
 from conftest import flow_map, segment_with_events
 
@@ -343,3 +344,169 @@ class TestLyapunov:
             lyapunov_spectrum(x, sinai2, 1e9, seed=0, max_events=50)
         assert err.value.partial_report is not None
         assert err.value.partial_report.n_events == 50
+
+
+def tangential_dense3_start():
+    """On dense3, nearly along the shared generator: the first collision
+    grazes."""
+    v = np.array([3e-11, 1e-11, 1.0])
+    return PhasePoint(np.array([0.5, 0.05, 0.1]), v / np.linalg.norm(v))
+
+
+class TestSingularOrbits:
+    def test_lyapunov_stops_before_tangential_event(self, dense3):
+        x = tangential_dense3_start()
+        seg = evolve(x, dense3, 1e12)
+        assert seg.singular_flag.kind == "tangential" and seg.n_events == 1
+        with pytest.raises(SingularityEncountered) as err:
+            lyapunov_spectrum(x, dense3, 1e12)
+        rep = err.value.partial_report
+        assert rep is not None
+        assert rep.n_events == 0
+        # The flight into the grazing event still counts.
+        assert rep.duration == seg.duration == seg.events[0].time
+        assert all(np.isfinite(rep.exponents))
+
+    def test_normal_transport_rejects_grazing_event(self, dense3):
+        seg = evolve(tangential_dense3_start(), dense3, 1e12)
+        with pytest.raises(TangentialEvent):
+            evolve_normal(normal_vector([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), seg, rescale=True)
+
+
+# ---------------------------------------------------------------------------
+# Stacked collision algebra against a per-event reference loop built from
+# collision_operators, collision_derivative and free_flight_derivative.
+# ---------------------------------------------------------------------------
+
+def reference_tangent(tv, segment):
+    for e in segment.events:
+        tv = collision_derivative(free_flight_derivative(tv, e.flight), collision_operators(e))
+    return free_flight_derivative(tv, segment.tail)
+
+
+def reference_normal(n, segment, rescale):
+    """(time, z, w) in the pattern start, [pre, post(, renorm)]*, end."""
+    z, w = np.array(n.z, dtype=float), np.array(n.w, dtype=float)
+    samples = [(0.0, z, w)]
+    for e in segment.events:
+        w = w - e.flight * z
+        samples.append((e.time, z, w))
+        ops = collision_operators(e)
+        z, w = ops.R @ z - ops.gain @ w, ops.R @ w
+        samples.append((e.time, z, w))
+        if rescale:
+            scale = np.sqrt(z @ z + w @ w)
+            z, w = z / scale, w / scale
+            samples.append((e.time, z, w))
+    samples.append((segment.duration, z, w - segment.tail * z))
+    return samples
+
+
+def reference_lyapunov(x, table, duration, seed, renorm_interval=5, growth_cap=1e4):
+    """Benettin's method vector by vector, with lyapunov_spectrum's frame."""
+    seg = evolve(x, table, duration)
+    d = table.dim
+    basis = np.linalg.svd(x.v[None, :] / np.linalg.norm(x.v))[2][1:]
+    zeros = np.zeros_like(basis)
+    mix = np.linalg.qr(np.random.default_rng([seed, 1]).normal(size=(2 * d - 2, 2 * d - 2)))[0]
+    frame = [TangentVector(dq, dv) for dq, dv in zip(mix @ np.vstack([basis, zeros]),
+                                                      mix @ np.vstack([zeros, basis]))]
+    logs = np.zeros(2 * d - 2)
+
+    def renormalize(frame, v):
+        mat = np.array([np.concatenate([t.dq - (t.dq @ v) * v, t.dv - (t.dv @ v) * v]) for t in frame]).T
+        q_fac, r_fac = np.linalg.qr(mat)
+        signs = np.where(np.diag(r_fac) < 0, -1.0, 1.0)
+        return [TangentVector(col[:d], col[d:]) for col in (q_fac * signs).T], np.log(np.abs(np.diag(r_fac)))
+
+    since, v = 0, x.v
+    for e in seg.events:
+        ops = collision_operators(e)
+        frame = [collision_derivative(free_flight_derivative(t, e.flight), ops) for t in frame]
+        since, v = since + 1, e.v_post
+        if since >= renorm_interval or max(np.abs(np.concatenate([t.dq, t.dv])).max() for t in frame) > growth_cap:
+            frame, gained = renormalize(frame, v)
+            logs, since = logs + gained, 0
+    frame = [free_flight_derivative(t, seg.tail) for t in frame]
+    logs = logs + renormalize(frame, v)[1]
+    return sorted((logs / seg.duration).tolist(), reverse=True)
+
+
+# Lengths on both sides of the block edges.
+BLOCK_LENGTHS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)
+
+
+@pytest.fixture(scope="module", params=["sinai2", "skew3", "split4"])
+def block_segments(request):
+    table = request.getfixturevalue(request.param)
+    rng = np.random.default_rng(41)
+    return table, {n: segment_with_events(table, rng, n) for n in BLOCK_LENGTHS}
+
+
+class TestStackedAlgebra:
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_single_event_call_equals_stacked_row(self, block_segments, n):
+        _, segs = block_segments
+        seg = segs[n]
+        stacked = segment_operators(seg)
+        assert len(stacked) == n
+        for e, row in zip(seg.events, stacked):
+            one = collision_operators(e)
+            assert one.cos_phi == row.cos_phi == e.cos_phi
+            for field in ("R", "V", "K", "gain"):
+                assert np.array_equal(getattr(one, field), getattr(row, field))
+
+    # Unrescaled normal vectors overflow after about 110 collisions on
+    # sinai2, so they run only up to the first block edge.
+    @pytest.mark.parametrize("n, rescale", [(n, True) for n in BLOCK_LENGTHS]
+                             + [(n, False) for n in BLOCK_LENGTHS if n <= BLOCK + 1])
+    def test_normal_samples_match_reference(self, block_segments, n, rescale):
+        table, segs = block_segments
+        seg = segs[n]
+        rng = np.random.default_rng(n)
+        n0 = normal_vector(rng.normal(size=table.dim), rng.normal(size=table.dim))
+        samples = evolve_normal(n0, seg, rescale=rescale)
+        reference = reference_normal(n0, seg, rescale)
+        assert len(samples) == len(reference) == (3 if rescale else 2) * n + 2
+        for (t, nv, q), (t_ref, z, w) in zip(samples, reference):
+            q_ref = float(z @ w)
+            assert t == t_ref
+            assert q == nv.q_value
+            assert abs(q - q_ref) <= 1e-11 * max(1.0, abs(q_ref))
+            scale = max(1.0, float(np.abs(np.concatenate([z, w])).max()))
+            assert np.abs(nv.z - z).max() <= 1e-11 * scale
+            assert np.abs(nv.w - w).max() <= 1e-11 * scale
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_tangent_matches_reference(self, block_segments, n):
+        table, segs = block_segments
+        seg = segs[n]
+        rng = np.random.default_rng(n + 1)
+        tv = TangentVector(rng.normal(size=table.dim), rng.normal(size=table.dim))
+        out, ref = evolve_tangent(tv, seg), reference_tangent(tv, seg)
+        got, want = np.concatenate([out.dq, out.dv]), np.concatenate([ref.dq, ref.dv])
+        assert np.abs(got - want).max() <= 1e-11 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_frame_from_given_operators_is_identical(self, block_segments, n):
+        table, segs = block_segments
+        seg = segs[n]
+        frame = np.random.default_rng(n + 2).normal(size=(3, 2 * table.dim))
+        dqs, dvs = frame[:, :table.dim], frame[:, table.dim:]
+        given = evolve_frame(dqs, dvs, seg, segment_operators(seg))
+        built = evolve_frame(dqs, dvs, seg)
+        assert all(np.array_equal(a, b) for a, b in zip(given, built))
+        # The caller's frame is left as it was.
+        assert np.array_equal(np.hstack([dqs, dvs]), frame)
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_lyapunov_matches_reference(self, block_segments, n):
+        table, segs = block_segments
+        seg = segs[n]
+        rep = lyapunov_spectrum(seg.start, table, seg.duration, seed=n)
+        assert rep.n_events == n
+        diff = np.abs(np.array(rep.exponents) - reference_lyapunov(seg.start, table, seg.duration, seed=n))
+        # The expanding half is rounding-stable; the contracting directions
+        # sit in rounding noise that any change of operation order moves.
+        assert diff[:table.dim - 1].max() <= 1e-9
+        assert diff.max() <= 1e-5
