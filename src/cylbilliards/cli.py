@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,11 +36,11 @@ from .tableio import (
     Scenario,
     load_scenario,
     lyapunov_to_dict,
-    segment_to_dict,
     transitivity_to_dict,
     write_events_csv,
     write_json,
     write_qmonitor_csv,
+    write_segment_json,
     write_survey_csv,
 )
 from .tangent import evolve_normal, lyapunov_spectrum, normal_vector
@@ -81,21 +82,50 @@ def _diag(code: int, message: str, **extra) -> int:
     return code
 
 
+def _number(scenario: Scenario, key: str, default, kind=float):
+    """The scenario's ``key`` converted by ``kind``; TableFormatError naming
+    the field when that fails or gives NaN."""
+    try:
+        number = kind(scenario.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if number != number:
+        raise TableFormatError(key, "must be a number")
+    return number
+
+
+def _vector(doc: dict, key: str, field: str, dim: int) -> np.ndarray:
+    """``doc[key]`` as a vector of ``dim`` finite floats; TableFormatError
+    naming ``field`` otherwise."""
+    if key not in doc:
+        raise TableFormatError(field, "missing")
+    try:
+        vec = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.shape != (dim,) or not np.isfinite(vec).all():
+        raise TableFormatError(field, f"must be a list of {dim} finite numbers")
+    return vec
+
+
 def _resolve_seed(scenario: Scenario, args, required: bool) -> int | None:
-    seed = args.seed if args.seed is not None else scenario.get("seed")
-    if seed is None and required:
-        raise TableFormatError("seed", "required for stochastic commands")
-    return None if seed is None else int(seed)
+    if args.seed is not None:
+        return args.seed
+    if scenario.get("seed") is None:
+        if required:
+            raise TableFormatError("seed", "required for stochastic commands")
+        return None
+    return _number(scenario, "seed", None, int)
 
 
 def _resolve_start(scenario: Scenario, args) -> PhasePoint:
     doc = scenario.get("start")
     if doc is not None:
-        for key in ("q", "v"):
-            if key not in doc:
-                raise TableFormatError(f"start.{key}", "missing")
-        q = np.mod(np.asarray(doc["q"], dtype=float), 1.0)
-        v = np.asarray(doc["v"], dtype=float)
+        if not isinstance(doc, dict):
+            raise TableFormatError("start", "must be an object {q, v}")
+        dim = scenario.table.dim
+        q = np.mod(_vector(doc, "q", "start.q", dim), 1.0)
+        v = _vector(doc, "v", "start.v", dim)
         norm = float(np.linalg.norm(v))
         if norm == 0:
             raise TableFormatError("start.v", "must be nonzero")
@@ -122,8 +152,8 @@ def cmd_analyze(scenario: Scenario, args) -> int:
 
 def _evolve_from_scenario(scenario: Scenario, args) -> tuple:
     start = _resolve_start(scenario, args)
-    duration = float(scenario.get("duration", 100.0))
-    max_events = int(scenario.get("max_events", 10**6))
+    duration = _number(scenario, "duration", 100.0)
+    max_events = _number(scenario, "max_events", 10**6, int)
     segment = evolve(start, scenario.table, duration, max_events=max_events)
     return start, segment
 
@@ -132,21 +162,19 @@ def cmd_simulate(scenario: Scenario, args) -> int:
     _, segment = _evolve_from_scenario(scenario, args)
     meta = {"scenario_hash": scenario.scenario_hash}
     write_events_csv(segment, _out_path(args, scenario, "events.csv"), meta)
-    write_json(segment_to_dict(segment, meta), _out_path(args, scenario, "events.json"))
+    write_segment_json(segment, _out_path(args, scenario, "events.json"), meta)
     return EXIT_OK
 
 
 def cmd_qmonitor(scenario: Scenario, args) -> int:
+    normal_doc = scenario.get("normal")
+    if not isinstance(normal_doc, dict):
+        raise TableFormatError("normal", "qmonitor needs a normal vector {z, w}")
+    dim = scenario.table.dim
+    n = normal_vector(_vector(normal_doc, "z", "normal.z", dim), _vector(normal_doc, "w", "normal.w", dim))
     _, segment = _evolve_from_scenario(scenario, args)
     if segment.singular_flag is not None and is_singular(segment.singular_flag.kind):
         return _diag(EXIT_SINGULARITY, f"segment flagged {segment.singular_flag.kind}")
-    normal_doc = scenario.get("normal")
-    if normal_doc is None:
-        raise TableFormatError("normal", "qmonitor needs a normal vector {z, w}")
-    for key in ("z", "w"):
-        if key not in normal_doc:
-            raise TableFormatError(f"normal.{key}", "missing")
-    n = normal_vector(normal_doc["z"], normal_doc["w"])
     samples = evolve_normal(n, segment, rescale=bool(scenario.get("rescale", False)))
     meta = {"scenario_hash": scenario.scenario_hash}
     write_qmonitor_csv(samples, _out_path(args, scenario, "qmonitor.csv"), meta)
@@ -182,13 +210,13 @@ def cmd_lyapunov(scenario: Scenario, args) -> int:
     start = None
     if scenario.get("start") is not None:
         start = _resolve_start(scenario, args)
-    duration = float(scenario.get("duration", 1000.0))
-    renorm = int(scenario.get("renorm_interval", 5))
+    duration = _number(scenario, "duration", 1000.0)
+    renorm = _number(scenario, "renorm_interval", 5, int)
     meta = {"scenario_hash": scenario.scenario_hash, "renorm_interval": renorm}
     try:
         report = lyapunov_spectrum(start, scenario.table, duration,
                                    renorm_interval=renorm, seed=seed,
-                                   max_events=int(scenario.get("max_events", 10**6)))
+                                   max_events=_number(scenario, "max_events", 10**6, int))
     except SingularityEncountered as exc:
         if exc.partial_report is not None:
             write_json(lyapunov_to_dict(exc.partial_report, meta),
@@ -204,11 +232,11 @@ def cmd_survey(scenario: Scenario, args) -> int:
     seed = _resolve_seed(scenario, args, required=True)
     result = survey_sufficiency(
         scenario.table,
-        sample_count=int(scenario.get("samples", 100)),
-        duration=float(scenario.get("duration", 50.0)),
+        sample_count=_number(scenario, "samples", 100, int),
+        duration=_number(scenario, "duration", 50.0),
         seed=seed,
         mode=scenario.get("mode", "generic"),
-        max_events=int(scenario.get("max_events", 10_000)),
+        max_events=_number(scenario, "max_events", 10_000, int),
         threads=max(1, args.threads),
     )
     meta = {"scenario_hash": scenario.scenario_hash}

@@ -11,6 +11,10 @@ wins. Near-ties across distinct (cylinder, offset) candidates and
 near-grazing incidences are flagged rather than resolved. The same table
 answers the start checks: one rounding and a minimum over each ball give the
 distance from a point to every cylinder's nearest axis translate.
+
+A segment stores its events as columns. The flight loop keeps per hit only
+what the next flight needs; times, lattice offsets and the covering-space
+endpoint are finished once per segment with array operations.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,13 +90,33 @@ class CollisionEvent:
     near_double: bool = False
 
 
+# The per-event columns of an OrbitSegment, in CollisionEvent field order
+# (cylinder_id stands for the 1-based cylinder_index).
+_COLUMNS = ("time", "flight", "cylinder_id", "q_hit", "lattice_offset", "normal", "v_pre",
+            "v_post", "cos_phi", "grazing", "near_double")
+
+
 @dataclass(frozen=True, eq=False)
 class OrbitSegment:
+    """A piece of orbit with its events stored as read-only columns: entry k
+    of each (n,) column and row k of each (n, d) column belong to event k.
+    ``events`` builds CollisionEvents whose arrays are row views of the
+    columns, on first use."""
+
     start: PhasePoint
     duration: float
     tail: float  # free flight after the last event; 0 when cut at an event
-    events: tuple[CollisionEvent, ...]
-    symbolic: tuple[int, ...]
+    time: np.ndarray  # (n,) running sum of flight
+    flight: np.ndarray  # (n,) duration of the flight ending at each event
+    cylinder_id: np.ndarray  # (n,) 0-based index into table.cylinders
+    q_hit: np.ndarray  # (n, d)
+    lattice_offset: np.ndarray  # (n, d)
+    normal: np.ndarray  # (n, d)
+    v_pre: np.ndarray  # (n, d)
+    v_post: np.ndarray  # (n, d)
+    cos_phi: np.ndarray  # (n,)
+    grazing: np.ndarray  # (n,) bool
+    near_double: np.ndarray  # (n,) bool
     singular_flag: SingularFlag | None
     end: PhasePoint
     end_unwrapped: np.ndarray
@@ -99,7 +124,24 @@ class OrbitSegment:
 
     @property
     def n_events(self) -> int:
-        return len(self.events)
+        return len(self.flight)
+
+    @cached_property
+    def symbolic(self) -> tuple[int, ...]:
+        return tuple((self.cylinder_id + 1).tolist())
+
+    @cached_property
+    def events(self) -> tuple[CollisionEvent, ...]:
+        return _event_rows(self.table, {name: getattr(self, name) for name in _COLUMNS})
+
+
+def _event_rows(table: BilliardTable, cols: dict) -> tuple[CollisionEvent, ...]:
+    """CollisionEvents of the columns: Python numbers from the (n,) ones,
+    row views of the (n, d) ones."""
+    cylinders = table.cylinders
+    fields = (cols[name].tolist() if cols[name].ndim == 1 else cols[name] for name in _COLUMNS)
+    return tuple(CollisionEvent(t, f, k + 1, q, lo, nu, a, b, c, cylinders[k], g, nd)
+                 for t, f, k, q, lo, nu, a, b, c, g, nd in zip(*fields))
 
 
 def cylinder_distance(q, cyl: Cylinder) -> tuple[float, np.ndarray]:
@@ -179,6 +221,7 @@ class _FlightTable:
         self.cid = np.repeat(np.arange(len(balls)), [len(b) for b in balls])
         self.mask = indicator[self.cid]
         self.radius = np.array([c.radius for c in self.cylinders])
+        self.projectors = np.array([c.base_projector for c in self.cylinders])
         self.r_sq = (self.radius * self.radius)[self.cid]
         beta = np.array([lat.babai_bound for lat in lats])
         off_sq = np.einsum("ij,ij->i", self.offsets, self.offsets)
@@ -201,8 +244,7 @@ class _FlightTable:
         return rel, d_sq, np.sqrt(np.minimum.reduceat(d_sq, self.start_first))
 
 
-def _first_collision(q0: np.ndarray, v: np.ndarray, table: BilliardTable,
-                     t_max: float):
+def _first_collision(q0: np.ndarray, v: np.ndarray, ft: _FlightTable, t_max: float):
     """Earliest entering collision within t_max as a raw hit tuple, or None.
 
     Per window, one block-diagonal Babai rounding of the start point gives
@@ -213,7 +255,6 @@ def _first_collision(q0: np.ndarray, v: np.ndarray, table: BilliardTable,
     base direction u. The cut is exact: the flight runs along that line moved
     by e, so an offset farther than r + |e| from it never comes within r.
     """
-    ft = flight_table(table)
     uc = ft.onb @ v
     a_row = ft.mask @ (uc * uc)
     off_u = ft.offsets @ uc
@@ -233,7 +274,7 @@ def _first_collision(q0: np.ndarray, v: np.ndarray, table: BilliardTable,
         # Each candidate's position relative to its axis translate, in its block.
         rel = mask * e - offsets
         b = rel @ uc
-        gamma = (rel * rel).sum(axis=1) - r_sq
+        gamma = np.add.reduce(rel * rel, axis=1) - r_sq
         bb, ag = b * b, a_row * gamma
         disc = bb - ag
         # Discriminants within rounding noise of zero are exact tangencies:
@@ -259,32 +300,46 @@ def _first_collision(q0: np.ndarray, v: np.ndarray, table: BilliardTable,
     return None
 
 
-def _build_event(raw, v: np.ndarray, time_offset: float) -> CollisionEvent:
+def _hit(raw, v: np.ndarray) -> tuple:
+    """The per-hit step of a raw hit of velocity v, with what the next
+    flight needs: (flight, cylinder id, hit point reduced to [0,1)^d, its
+    integer shift, stacked lattice point, normal, cos_phi, v_post,
+    near_double)."""
     s_rel, ft, k, rel, uc, lam, q_window, base, near_double = raw
-    blk, cyl = ft.blocks[k], ft.cylinders[k]
-    onb = ft.onb[blk]
-    q_hit_raw = q_window + s_rel * v
-    radial = (rel[blk] + s_rel * uc[blk]) @ onb
+    blk = ft.blocks[k]
+    q_hit = q_window + s_rel * v
+    radial = (rel[blk] + s_rel * uc[blk]) @ ft.onb[blk]
     normal = radial / math.sqrt(radial @ radial)
     vn = float(v @ normal)
-    cos_phi = -vn
-    shift = np.floor(q_hit_raw)
-    lam_amb = lam[blk] @ onb - cyl.base_projector @ shift
-    flight = base + s_rel
-    return CollisionEvent(
-        time=time_offset + flight,
-        flight=flight,
-        cylinder_index=k + 1,
-        q_hit=q_hit_raw - shift,
-        lattice_offset=lam_amb,
-        normal=normal,
-        v_pre=np.array(v),
-        v_post=v - 2.0 * vn * normal,
-        cos_phi=cos_phi,
-        cylinder=cyl,
-        grazing=bool(cos_phi < EPS_TANG),
-        near_double=near_double,
-    )
+    shift = np.floor(q_hit)
+    return base + s_rel, k, q_hit - shift, shift, lam, normal, -vn, v - 2.0 * vn * normal, near_double
+
+
+def _finish(ft: _FlightTable, hits: list, v_pre: list) -> dict:
+    """The columns of a segment from its hits and incoming velocities: the
+    geometry the flight loop does not need, finished once per segment."""
+    n, d = len(hits), ft.onb.shape[1]
+    flight, cid, q_hit, shift, lam, normal, cos_phi, v_post, near_double = zip(*hits) if n else [()] * 9
+    flight = np.array(flight, dtype=float)
+    cid = np.array(cid, dtype=int)
+    cos_phi = np.array(cos_phi, dtype=float)
+    q_hit, shift, normal, v_post, v_pre = (np.array(c, dtype=float).reshape(n, d)
+                                           for c in (q_hit, shift, normal, v_post, v_pre))
+    lam = np.array(lam, dtype=float).reshape(n, len(ft.onb))
+    lattice_offset = np.empty((n, d))
+    for k in set(cid.tolist()):
+        at, blk = (cid == k).nonzero()[0], ft.blocks[k]
+        # Stacked vector products, so that each row is rounded exactly as its
+        # own product lam_k @ onb - P @ shift_k would be.
+        lattice_offset[at] = ((lam[at, blk][:, None, :] @ ft.onb[blk])[:, 0]
+                              - (ft.projectors[k] @ shift[at, :, None])[:, :, 0])
+    cols = dict(time=np.cumsum(flight), flight=flight, cylinder_id=cid, q_hit=q_hit,
+                lattice_offset=lattice_offset, normal=normal, v_pre=v_pre, v_post=v_post,
+                cos_phi=cos_phi, grazing=cos_phi < EPS_TANG,
+                near_double=np.array(near_double, dtype=bool))
+    for col in cols.values():
+        col.flags.writeable = False
+    return cols
 
 
 def next_collision(x: PhasePoint, table: BilliardTable, t_max: float) -> CollisionEvent | None:
@@ -294,10 +349,12 @@ def next_collision(x: PhasePoint, table: BilliardTable, t_max: float) -> Collisi
     Grazing and near-double candidates are flagged inside the returned event.
     """
     _start_velocity(x, table)  # only for its check: the flight keeps x.v
-    raw = _first_collision(x.q, x.v, table, t_max)
+    v = np.asarray(x.v, dtype=float)
+    ft = flight_table(table)
+    raw = _first_collision(x.q, v, ft, t_max)
     if raw is None:
         return None
-    return _build_event(raw, np.asarray(x.v, dtype=float), 0.0)
+    return _event_rows(table, _finish(ft, [_hit(raw, v)], [v]))[0]
 
 
 def _start_velocity(x: PhasePoint, table: BilliardTable) -> np.ndarray:
@@ -335,48 +392,49 @@ def evolve(x: PhasePoint, table: BilliardTable, duration: float,
     if abs(speed - 1.0) > 1e-9:
         raise ValueError(f"|v| = {speed} is not 1")
 
+    ft = flight_table(table)
     q = np.array(x.q, dtype=float)
     v = _start_velocity(x, table)
-    disp = np.zeros_like(q)
     elapsed = tail = 0.0
-    events: list[CollisionEvent] = []
+    hits, v_pre = [], []
     flag: SingularFlag | None = None
 
     while True:
         remaining = duration - elapsed
         if remaining <= 0:
             break
-        raw = _first_collision(q, v, table, remaining)
+        raw = _first_collision(q, v, ft, remaining)
         if raw is None:
             tail = remaining
-            disp += tail * v
             q = np.mod(q + tail * v, 1.0)
             elapsed = duration
             break
-        ev = _build_event(raw, v, elapsed)
-        disp += ev.flight * v
-        elapsed = ev.time
-        events.append(ev)
-        q = ev.q_hit
-        if ev.grazing:
-            flag = SingularFlag(TANGENTIAL, len(events) - 1)
+        hit = _hit(raw, v)
+        flight, _, q, _, _, _, cos_phi, v_post, near_double = hit
+        hits.append(hit)
+        v_pre.append(v)
+        elapsed += flight
+        if cos_phi < EPS_TANG:
+            flag = SingularFlag(TANGENTIAL, len(hits) - 1)
             break
-        if ev.near_double:
-            flag = SingularFlag(DOUBLE, len(events) - 1)
+        if near_double:
+            flag = SingularFlag(DOUBLE, len(hits) - 1)
             break
-        v = ev.v_post
-        if len(events) >= max_events and elapsed < duration:
-            flag = SingularFlag(BUDGET_EXCEEDED, len(events) - 1)
+        v = v_post
+        if len(hits) >= max_events and elapsed < duration:
+            flag = SingularFlag(BUDGET_EXCEEDED, len(hits) - 1)
             break
 
+    cols = _finish(ft, hits, v_pre)
+    # The covering-space displacement, summed flight by flight in order.
+    steps = np.vstack([np.zeros_like(q), cols["flight"][:, None] * cols["v_pre"], tail * v])
     return OrbitSegment(
         start=x,
         duration=elapsed,
         tail=tail,
-        events=tuple(events),
-        symbolic=tuple(e.cylinder_index for e in events),
+        **cols,
         singular_flag=flag,
         end=PhasePoint(np.array(q), np.array(v)),
-        end_unwrapped=x.q + disp,
+        end_unwrapped=x.q + np.cumsum(steps, axis=0)[-1],
         table=table,
     )

@@ -107,12 +107,14 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
     smallest residual singular value, at a collision that drops every row.
     """
     basis = images = rows
-    advances = np.zeros((rows.shape[0], len(segment.events)))
+    advances = np.zeros((rows.shape[0], segment.n_events))
     kept, dropped = [], []
-    for k, event in enumerate(segment.events):
-        base_rows = event.cylinder.base_basis
+    bases = [c.base_basis for c in segment.table.cylinders]
+    jumps = segment.v_post - segment.v_pre
+    for k, (cid, v_pre) in enumerate(zip(segment.cylinder_id.tolist(), segment.v_pre)):
+        base_rows = bases[cid]
         w_b = images @ base_rows.T
-        v_b = base_rows @ event.v_pre
+        v_b = base_rows @ v_pre
         alpha = w_b @ v_b / float(v_b @ v_b)
         u, s, _ = np.linalg.svd(w_b - np.outer(alpha, v_b))
         # Absolute and scaled by max(1, |W_k|_2): a threshold relative to the
@@ -127,7 +129,7 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
             keep = u[:, rank:].T
             basis, images, advances, alpha = keep @ basis, keep @ images, keep @ advances, keep @ alpha
         advances[:, k] = alpha
-        images = images + np.outer(alpha, event.v_post - event.v_pre)
+        images = images + np.outer(alpha, jumps[k])
     return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
                               method=ADVANCE_SYSTEM, largest_kept_sv=max(kept, default=0.0),
                               smallest_dropped_sv=min(dropped, default=None))
@@ -142,7 +144,7 @@ def neutral_space_advance(segment: OrbitSegment, table: BilliardTable | None = N
     reports how close the rank decisions came to their threshold.
     """
     _require_nonsingular(segment)
-    if not segment.events:
+    if not segment.n_events:
         raise EmptySequence("advance system needs at least one collision")
     return _forward_walk(segment, np.eye((table or segment.table).dim))
 
@@ -153,7 +155,7 @@ def advance_functionals(segment: OrbitSegment, translation, table: BilliardTable
     NotNeutralError when a constraint residual survives.
     """
     _require_nonsingular(segment)
-    if not segment.events:
+    if not segment.n_events:
         raise EmptySequence("advance functionals need at least one collision")
     return _forward_walk(segment, np.asarray(translation, dtype=float).reshape(1, -1)).advances[0]
 
@@ -172,9 +174,9 @@ def neutral_space_numeric(segment: OrbitSegment, table: BilliardTable | None = N
     """
     _require_nonsingular(segment)
     d = (table or segment.table).dim
-    events = segment.events
+    normal, cos_phi = segment.normal, segment.cos_phi.tolist()
     basis = np.eye(d)
-    advances = np.zeros((d, len(events)))
+    advances = np.zeros((d, segment.n_events))
     kept, dropped = [], []
 
     def cut(k, pre, post, step):
@@ -187,10 +189,10 @@ def neutral_space_numeric(segment: OrbitSegment, table: BilliardTable | None = N
             basis, advances, post = keep @ basis, keep @ advances, keep @ post
         post[:, d:] = 0.0
         # R_k negates the normal, so <normal, R_k W_k> = -<normal, W_k>.
-        advances[:, k] = post[:, :d] @ events[k].normal / events[k].cos_phi
+        advances[:, k] = post[:, :d] @ normal[k] / cos_phi[k]
         return post
 
-    transport(np.hstack([basis, np.zeros((d, d))]), events, segment.tail, visit=cut)
+    transport(np.hstack([basis, np.zeros((d, d))]), segment, visit=cut)
     return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
                               method=DERIVATIVE_KERNEL, largest_kept_sv=max(kept, default=0.0),
                               smallest_dropped_sv=min(dropped, default=None))

@@ -1,9 +1,11 @@
 """Table definition files, scenario files, and machine-readable dumps.
 
 Schemas are JSON; the exact field names are documented in the README. All
-float output uses 17 significant digits so runs are reproducible bit for bit
-from (scenario, seed) alone, and every file embeds the scenario hash and tool
-version.
+float output is lossless (17 significant digits in CSV files, shortest
+round-trip repr in JSON) so runs are reproducible bit for bit from
+(scenario, seed) alone, and every file embeds the scenario hash and tool
+version. Per-event and per-sample rows are rendered from array columns by
+one row template per file.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ from .flow import OrbitSegment
 from .geometry import BilliardTable, build_cylinder, build_table, validate_table
 from .hyperbolicity import SurveyResult
 from .tangent import LyapunovReport
-
-
-def fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +150,16 @@ def _meta_lines(meta: dict) -> list[str]:
     return [f"# tool_version={TOOL_VERSION}", f"# scenario_hash={meta.get('scenario_hash', '')}"]
 
 
+def _csv_rows(path, meta: dict, header: list[str], template: str, rows) -> None:
+    """Meta lines, then the header and one ``template % row`` per row, with
+    the CRLF line ends of csv.writer."""
+    with open(path, "w", newline="") as fh:
+        for line in _meta_lines(meta):
+            fh.write(line + "\n")
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(template % row for row in rows))
+
+
 def write_events_csv(segment: OrbitSegment, path, meta: dict) -> None:
     """One row per event: time, cylinder index, hit point, velocities, cos(phi)."""
     d = segment.table.dim
@@ -162,22 +170,29 @@ def write_events_csv(segment: OrbitSegment, path, meta: dict) -> None:
         + [f"v_post_{i}" for i in range(d)]
         + ["cos_phi"]
     )
-    with open(path, "w", newline="") as fh:
-        for line in _meta_lines(meta):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for e in segment.events:
-            writer.writerow(
-                [fmt(e.time), e.cylinder_index]
-                + [fmt(x) for x in e.q_hit]
-                + [fmt(x) for x in e.v_pre]
-                + [fmt(x) for x in e.v_post]
-                + [fmt(e.cos_phi)]
-            )
+    floats = ",".join(["%.17g"] * d)
+    template = f"%.17g,%d,{floats},%s,%s,%.17g\r\n"
+    rows = ((t, k, *q, a, b, c) for t, k, q, a, b, c in _event_fields(segment, floats))
+    _csv_rows(path, meta, header, template, rows)
 
 
-def segment_to_dict(segment: OrbitSegment, meta: dict) -> dict:
+def _event_fields(segment: OrbitSegment, velocity: str):
+    """Per event: time, cylinder index, q_hit, then v_pre and v_post as the
+    text of the ``velocity`` template of d floats, and cos_phi. Along an
+    orbit each v_pre is bitwise the v_post before it, so its text is reused
+    rather than formatted again."""
+    post = [velocity % tuple(row) for row in segment.v_post.tolist()]
+    if not post:
+        return iter(())
+    pre = [""] + post[:-1]
+    fresh = (segment.v_pre[1:].view(np.int64) != segment.v_post[:-1].view(np.int64)).any(axis=1)
+    for k in [0, *(fresh.nonzero()[0] + 1).tolist()]:
+        pre[k] = velocity % tuple(segment.v_pre[k].tolist())
+    return zip(segment.time.tolist(), segment.symbolic, segment.q_hit.tolist(), pre, post,
+               segment.cos_phi.tolist())
+
+
+def _segment_head(segment: OrbitSegment, meta: dict) -> dict:
     flag = segment.singular_flag
     return {
         "tool_version": TOOL_VERSION,
@@ -187,33 +202,48 @@ def segment_to_dict(segment: OrbitSegment, meta: dict) -> dict:
         "singular_flag": None if flag is None else {"kind": flag.kind, "event_index": flag.event_index},
         "start": {"q": list(map(float, segment.start.q)), "v": list(map(float, segment.start.v))},
         "end": {"q": list(map(float, segment.end.q)), "v": list(map(float, segment.end.v))},
+    }
+
+
+def segment_to_dict(segment: OrbitSegment, meta: dict) -> dict:
+    return {
+        **_segment_head(segment, meta),
         "events": [
-            {
-                "time": e.time,
-                "cylinder_index": e.cylinder_index,
-                "q_hit": list(map(float, e.q_hit)),
-                "v_pre": list(map(float, e.v_pre)),
-                "v_post": list(map(float, e.v_post)),
-                "cos_phi": e.cos_phi,
-            }
-            for e in segment.events
+            {"time": t, "cylinder_index": k, "q_hit": q, "v_pre": a, "v_post": b, "cos_phi": c}
+            for t, k, q, a, b, c in zip(segment.time.tolist(), segment.symbolic, segment.q_hit.tolist(),
+                                        segment.v_pre.tolist(), segment.v_post.tolist(), segment.cos_phi.tolist())
         ],
     }
+
+
+def write_segment_json(segment: OrbitSegment, path, meta: dict) -> None:
+    """Write ``segment_to_dict(segment, meta)`` exactly as ``write_json``
+    would. The events are rendered by one template that writes floats with
+    %r, which is how json writes a finite float, and are spliced into the
+    json text of the rest."""
+    text = json.dumps({**_segment_head(segment, meta), "events": []}, indent=2, sort_keys=True)
+    if segment.n_events:
+        floats = ",\n".join(["        %r"] * segment.table.dim)
+        template = "\n".join(["    {", '      "cos_phi": %r,', '      "cylinder_index": %d,',
+                              f'      "q_hit": [\n{floats}\n      ],', '      "time": %r,',
+                              '      "v_post": [\n%s\n      ],', '      "v_pre": [\n%s\n      ]', "    }"])
+        events = ",\n".join(template % (c, k, *q, t, b, a) for t, k, q, a, b, c in _event_fields(segment, floats))
+        text = text.replace('"events": []', '"events": [\n' + events + "\n  ]", 1)
+    Path(path).write_text(text + "\n")
 
 
 def write_qmonitor_csv(samples, path, meta: dict) -> None:
     """Rows (time, z coords, w coords, q_value) along a normal-vector run."""
     if not samples:
         raise ValueError("no samples to write")
-    d = samples[0][1].z.shape[0]
+    times, vectors, q_values = zip(*samples)
+    z = np.array([nv.z for nv in vectors])
+    w = np.array([nv.w for nv in vectors])
+    d = z.shape[1]
     header = ["time"] + [f"z_{i}" for i in range(d)] + [f"w_{i}" for i in range(d)] + ["Q"]
-    with open(path, "w", newline="") as fh:
-        for line in _meta_lines(meta):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, nv, q in samples:
-            writer.writerow([fmt(t)] + [fmt(x) for x in nv.z] + [fmt(x) for x in nv.w] + [fmt(q)])
+    template = ",".join(["%.17g"] * (2 * d + 2)) + "\r\n"
+    rows = map(tuple, np.column_stack([times, z, w, q_values]).tolist())
+    _csv_rows(path, meta, header, template, rows)
 
 
 def lyapunov_to_dict(report: LyapunovReport, meta: dict) -> dict:

@@ -34,6 +34,7 @@ from .flow import (
     OrbitSegment,
     PhasePoint,
     evolve,
+    flight_table,
     is_singular,
     random_phase_point,
 )
@@ -73,10 +74,12 @@ class CollisionOperators:
     gain: np.ndarray  # G = 2 cos_phi R V^T K V
 
 
-def _collision_blocks(events):
+def _collision_blocks(normal, v_pre, cos_phi, cylinder_id, projectors, radii):
     """R, V, K, cos_phi and G of consecutive blocks of at most BLOCK events,
-    stacked along a leading event axis. Raises TangentialEvent at the first
-    grazing event of a block, before the block is built.
+    stacked along a leading event axis. The events come as columns;
+    ``cylinder_id`` indexes the per-cylinder base projectors (k, d, d) and
+    radii (k,). Raises TangentialEvent at the first grazing event of a
+    block, before the block is built.
 
     V slides vectors onto the boundary tangent plane parallel to the incoming
     velocity; K is (P_base - nu nu^T)/r, positive semi-definite with the
@@ -85,34 +88,45 @@ def _collision_blocks(events):
     (dq, dv) -> (R dq, R dv + G dq), its inverse, whose gain is R G R, and
     the adjoint step on normal vectors.
     """
-    for start in range(0, len(events), BLOCK):
-        block = events[start:start + BLOCK]
-        cos_phi = np.array([e.cos_phi for e in block])
-        grazing = (cos_phi <= EPS_TANG).nonzero()[0]
+    eye = np.eye(normal.shape[1])
+    for start in range(0, len(cos_phi), BLOCK):
+        stop = start + BLOCK
+        c = cos_phi[start:stop]
+        grazing = (c <= EPS_TANG).nonzero()[0]
         if grazing.size:
-            e = block[grazing[0]]
-            raise TangentialEvent(f"cos_phi = {e.cos_phi:.3e} at event on cylinder {e.cylinder_index}")
-        nu = np.array([e.normal for e in block])
+            j = int(grazing[0])
+            raise TangentialEvent(f"cos_phi = {c[j]:.3e} at event {start + j}")
+        nu = normal[start:stop]
+        ids = cylinder_id[start:stop]
         nn = nu[:, :, None] * nu[:, None, :]
-        eye = np.eye(nu.shape[1])
         R = eye - 2.0 * nn
-        V = eye + np.array([e.v_pre for e in block])[:, :, None] * nu[:, None, :] / cos_phi[:, None, None]
-        K = ((np.array([e.cylinder.base_projector for e in block]) - nn)
-             / np.array([e.cylinder.radius for e in block])[:, None, None])
-        G = (2.0 * cos_phi)[:, None, None] * (R @ V.transpose(0, 2, 1) @ K @ V)
-        yield R, V, K, cos_phi, G
+        V = eye + v_pre[start:stop, :, None] * nu[:, None, :] / c[:, None, None]
+        K = (projectors[ids] - nn) / radii[ids][:, None, None]
+        G = (2.0 * c)[:, None, None] * (R @ V.transpose(0, 2, 1) @ K @ V)
+        yield R, V, K, c, G
+
+
+def _segment_blocks(segment: OrbitSegment, stop: int | None = None):
+    """The stacked algebra of the segment's first ``stop`` events (all by
+    default), read from its columns."""
+    ft = flight_table(segment.table)
+    return _collision_blocks(segment.normal[:stop], segment.v_pre[:stop], segment.cos_phi[:stop],
+                             segment.cylinder_id[:stop], ft.projectors, ft.radius)
 
 
 def collision_operators(event: CollisionEvent) -> CollisionOperators:
     """R, V, K and the gain G of one nonsingular event: a one-event block of
     the stacked algebra."""
-    R, V, K, cos_phi, G = next(_collision_blocks([event]))
+    cyl = event.cylinder
+    R, V, K, cos_phi, G = next(_collision_blocks(
+        np.asarray(event.normal, dtype=float)[None], np.asarray(event.v_pre, dtype=float)[None],
+        np.array([event.cos_phi]), np.zeros(1, dtype=int), cyl.base_projector[None], np.array([cyl.radius])))
     return CollisionOperators(R=R[0], V=V[0], K=K[0], cos_phi=float(cos_phi[0]), gain=G[0])
 
 
 def segment_operators(segment: OrbitSegment) -> list[CollisionOperators]:
     return [CollisionOperators(R=R, V=V, K=K, cos_phi=float(c), gain=G)
-            for block in _collision_blocks(segment.events) for R, V, K, c, G in zip(*block)]
+            for block in _segment_blocks(segment) for R, V, K, c, G in zip(*block)]
 
 
 def free_flight_derivative(tv: TangentVector, t: float) -> TangentVector:
@@ -128,19 +142,21 @@ def collision_derivative(tv: TangentVector, ops: CollisionOperators,
     return TangentVector(dq, ops.R @ tv.dv + ops.gain @ tv.dq)
 
 
-def transport(x: np.ndarray, events, tail: float, visit=None,
+def transport(x: np.ndarray, segment: OrbitSegment, visit=None, stop: int | None = None,
               ops_list: list[CollisionOperators] | None = None) -> np.ndarray:
-    """Carry 2d-wide tangent rows [dq | dv] through the flights ending at
-    ``events``, their collisions (stacked from ``ops_list`` if given) and a
-    last flight of length ``tail``. ``visit(k, pre, post, step)`` sees the
-    rows around collision k and returns the rows to carry on."""
+    """Carry 2d-wide tangent rows [dq | dv] through the segment's flights,
+    their collisions (stacked from ``ops_list`` if given) and its tail. With
+    ``stop`` the rows stop just before collision ``stop``, after the flight
+    into it. ``visit(k, pre, post, step)`` sees the rows around collision k
+    and returns the rows to carry on."""
     x = np.array(x, dtype=float)
     d = x.shape[-1] // 2
     if ops_list is None:
-        blocks = ((R, G) for R, _, _, _, G in _collision_blocks(events))
+        blocks = ((R, G) for R, _, _, _, G in _segment_blocks(segment, stop))
     else:
         blocks = (([o.R for o in ops_list[s:s + BLOCK]], [o.gain for o in ops_list[s:s + BLOCK]])
                   for s in range(0, len(ops_list), BLOCK))
+    flights = segment.flight[:stop].tolist()
     k = 0
     for R, G in blocks:
         # The row action x -> x @ [[R, G^T], [0, R]] (R is symmetric).
@@ -148,11 +164,11 @@ def transport(x: np.ndarray, events, tail: float, visit=None,
         steps[:, :d, :d] = steps[:, d:, d:] = R
         steps[:, :d, d:] = np.transpose(G, (0, 2, 1))
         for step in steps:
-            x[..., :d] += events[k].flight * x[..., d:]
+            x[..., :d] += flights[k] * x[..., d:]
             post = x @ step
             x = post if visit is None else visit(k, x, post, step)
             k += 1
-    x[..., :d] += tail * x[..., d:]
+    x[..., :d] += (segment.tail if stop is None else float(segment.flight[stop])) * x[..., d:]
     return x
 
 
@@ -165,7 +181,7 @@ def evolve_tangent(tv: TangentVector, segment: OrbitSegment) -> TangentVector:
 def evolve_frame(dqs: np.ndarray, dvs: np.ndarray, segment: OrbitSegment,
                  ops_list: list[CollisionOperators] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Transport a row-stacked frame across the whole segment."""
-    return tuple(np.hsplit(transport(np.hstack([dqs, dvs]), segment.events, segment.tail, ops_list=ops_list), 2))
+    return tuple(np.hsplit(transport(np.hstack([dqs, dvs]), segment, ops_list=ops_list), 2))
 
 
 def evolve_normal(n: NormalVector, segment: OrbitSegment,
@@ -186,11 +202,10 @@ def evolve_normal(n: NormalVector, segment: OrbitSegment,
     pattern is then (start, [pre, post, renorm]*, end).
     """
     d = np.shape(n.z)[0]
-    events = segment.events
     per = 3 if rescale else 2
     # The adjoint step [[R, -G], [0, R]] on (z, w) is the tangent step on
     # (w, -z), so the rows are [w | -z]; each sample gets its own row.
-    rows = np.empty((per * len(events) + 2, 2 * d))
+    rows = np.empty((per * segment.n_events + 2, 2 * d))
     rows[0, :d], rows[0, d:] = n.w, -np.asarray(n.z)
 
     def record(k, pre, post, step):
@@ -203,10 +218,10 @@ def evolve_normal(n: NormalVector, segment: OrbitSegment,
             rows[j + 2] = post
         return post
 
-    rows[-1] = transport(rows[0], events, segment.tail, visit=record)
+    rows[-1] = transport(rows[0], segment, visit=record)
     rows[:, d:] *= -1.0  # now [w | z]
     q_values = np.einsum("ij,ij->i", rows[:, d:], rows[:, :d]).tolist()
-    times = [0.0, *(e.time for e in events for _ in range(per)), segment.duration]
+    times = np.concatenate([[0.0], np.repeat(segment.time, per), [segment.duration]]).tolist()
     return [(t, NormalVector(row[d:], row[:d], q), q) for t, row, q in zip(times, rows, q_values)]
 
 
@@ -255,10 +270,9 @@ def lyapunov_spectrum(x: PhasePoint | None, table: BilliardTable, duration: floa
     if x is None:
         x = random_phase_point(table, np.random.default_rng([seed, 0x5eed]))
     segment = evolve(x, table, duration, max_events=max_events)
-    events, tail = segment.events, segment.tail
     flag = segment.singular_flag
-    if flag is not None and is_singular(flag.kind):
-        events, tail = events[:flag.event_index], events[flag.event_index].flight
+    stop = flag.event_index if flag is not None and is_singular(flag.kind) else None
+    v_post = segment.v_post[:stop]
 
     d = table.dim
     m = 2 * d - 2
@@ -278,18 +292,18 @@ def lyapunov_spectrum(x: PhasePoint | None, table: BilliardTable, duration: floa
         nonlocal logs, renorms, since_renorm
         since_renorm += 1
         if since_renorm >= renorm_interval or abs(post).max() > growth_cap:
-            post, logs = _renormalize(post, logs, events[k].v_post)
+            post, logs = _renormalize(post, logs, v_post[k])
             renorms += 1
             since_renorm = 0
         return post
 
-    frame = transport(frame, events, tail, visit=renormalize)
-    _, logs = _renormalize(frame, logs, events[-1].v_post if events else np.asarray(x.v))
+    frame = transport(frame, segment, visit=renormalize, stop=stop)
+    _, logs = _renormalize(frame, logs, v_post[-1] if len(v_post) else np.asarray(x.v))
     renorms += 1
 
     exponents = tuple(sorted((logs / segment.duration).tolist(), reverse=True))
     report = LyapunovReport(exponents=exponents, duration=segment.duration, renorm_count=renorms,
-                            seed=seed, n_events=len(events))
+                            seed=seed, n_events=len(v_post))
     if flag is not None:
         cause = f"event budget {max_events} exhausted" if flag.kind == BUDGET_EXCEEDED else f"{flag.kind} singularity"
         raise SingularityEncountered(f"{cause} at t = {segment.duration:.6g}", partial_report=report)

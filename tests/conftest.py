@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,22 @@ def split4():
     c1 = build_cylinder([[0, 0, 1, 0], [0, 0, 0, 1]], [0, 0, 0, 0], 0.2, 4)
     c2 = build_cylinder([[1, 0, 0, 0], [0, 1, 0, 0]], [0.5, 0.5, 0.5, 0.5], 0.2, 4)
     return validate_table(build_table([c1, c2]))
+
+
+@pytest.fixture(scope="session")
+def hs4x2():
+    """Four discs in the 2-torus as one billiard in d = 8 (coordinates
+    x1, y1, ..., x4, y4): for each pair (i, j) the tube of radius 0.2 whose
+    generator is the integer complement of the pair's base
+    span(e_xi - e_xj, e_yi - e_yj)."""
+    cylinders = []
+    for i, j in itertools.combinations(range(4), 2):
+        rows = np.zeros((6, 8), dtype=int)
+        rows[0, [2 * i, 2 * j]] = rows[1, [2 * i + 1, 2 * j + 1]] = 1
+        others = [c for k in range(4) if k not in (i, j) for c in (2 * k, 2 * k + 1)]
+        rows[np.arange(2, 6), others] = 1
+        cylinders.append(build_cylinder(rows.tolist(), [0.0] * 8, 0.2, 8))
+    return validate_table(build_table(cylinders))
 
 
 def tori_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -432,3 +433,150 @@ class TestStartChecks:
             q = np.mod(t @ lat.coord_basis @ lat.subspace_onb, 1.0)
             got = flight_table(table).axis_gaps(q)[2][0]
             assert got == pytest.approx(cylinder_distance(q, cyl)[0], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Columnar segments against the per-event construction they replace: the
+# loop below builds every CollisionEvent as the flow did before its events
+# became columns, from the same raw hits of the first-collision kernel.
+# ---------------------------------------------------------------------------
+
+def reference_event(raw, v, time_offset):
+    from cylbilliards.flow import EPS_TANG, CollisionEvent
+
+    s_rel, ft, k, rel, uc, lam, q_window, base, near_double = raw
+    blk, cyl = ft.blocks[k], ft.cylinders[k]
+    onb = ft.onb[blk]
+    q_hit_raw = q_window + s_rel * v
+    radial = (rel[blk] + s_rel * uc[blk]) @ onb
+    normal = radial / math.sqrt(radial @ radial)
+    vn = float(v @ normal)
+    cos_phi = -vn
+    shift = np.floor(q_hit_raw)
+    flight = base + s_rel
+    return CollisionEvent(
+        time=time_offset + flight, flight=flight, cylinder_index=k + 1, q_hit=q_hit_raw - shift,
+        lattice_offset=lam[blk] @ onb - cyl.base_projector @ shift, normal=normal,
+        v_pre=np.array(v), v_post=v - 2.0 * vn * normal, cos_phi=cos_phi, cylinder=cyl,
+        grazing=bool(cos_phi < EPS_TANG), near_double=near_double)
+
+
+def reference_evolve(x, table, duration, max_events=10**6):
+    """(events, flag kind and index, duration, tail, end q, end v, end_unwrapped)."""
+    from cylbilliards import flow
+
+    ft = flight_table(table)
+    q = np.array(x.q, dtype=float)
+    v = flow._start_velocity(x, table)
+    disp = np.zeros_like(q)
+    elapsed = tail = 0.0
+    events, flag = [], None
+    while True:
+        remaining = duration - elapsed
+        if remaining <= 0:
+            break
+        raw = flow._first_collision(q, v, ft, remaining)
+        if raw is None:
+            tail = remaining
+            disp += tail * v
+            q = np.mod(q + tail * v, 1.0)
+            elapsed = duration
+            break
+        ev = reference_event(raw, v, elapsed)
+        disp += ev.flight * v
+        elapsed = ev.time
+        events.append(ev)
+        q = ev.q_hit
+        if ev.grazing or ev.near_double:
+            flag = ("tangential" if ev.grazing else "double", len(events) - 1)
+            break
+        v = ev.v_post
+        if len(events) >= max_events and elapsed < duration:
+            flag = ("budget_exceeded", len(events) - 1)
+            break
+    return events, flag, elapsed, tail, q, v, x.q + disp
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_event(got, want):
+    for field in ("time", "flight", "cos_phi"):
+        assert same_bits(getattr(got, field), getattr(want, field)), field
+    for field in ("q_hit", "lattice_offset", "normal", "v_pre", "v_post"):
+        assert same_bits(getattr(got, field), getattr(want, field)), field
+    assert got.cylinder_index == want.cylinder_index
+    assert got.cylinder is want.cylinder
+    assert got.grazing == want.grazing and got.near_double == want.near_double
+
+
+def _skew4_table():
+    """One cylinder in d = 4 whose base frame has no zero entries, so lattice
+    offsets sum rounded products in every coordinate."""
+    return validate_table(build_table([build_cylinder([[1, 2, 3, 5]], [0.0] * 4, 0.15, 4)]))
+
+
+def _double_table():
+    c1 = build_cylinder([], [0, 0], 0.3, 2)
+    c2 = build_cylinder([], [0.5, 0.0], 0.3, 2)
+    return validate_table(build_table([c1, c2]))
+
+
+class TestColumns:
+    @pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4", "hs4x2",
+                                      "skew4"])
+    def test_events_equal_per_event_construction(self, request, name):
+        table = _skew4_table() if name == "skew4" else request.getfixturevalue(name)
+        rng = np.random.default_rng(70)
+        for duration, budget in ((1e9, 150), (15.0, 10**6), (1e9, 1), (1e-3, 10**6)):
+            x = random_phase_point(table, rng)
+            seg = evolve(x, table, duration, max_events=budget)
+            events, flag, elapsed, tail, q, v, unwrapped = reference_evolve(x, table, duration, budget)
+            assert seg.n_events == len(seg.events) == len(events)
+            for got, want in zip(seg.events, events):
+                assert_same_event(got, want)
+            got_flag = seg.singular_flag and (seg.singular_flag.kind, seg.singular_flag.event_index)
+            assert got_flag == flag
+            assert seg.symbolic == tuple(e.cylinder_index for e in events)
+            assert (seg.duration, seg.tail) == (elapsed, tail)
+            assert same_bits(seg.end.q, q) and same_bits(seg.end.v, v)
+            assert same_bits(seg.end_unwrapped, unwrapped)
+            # Every column is read-only, and the events are row views of it.
+            assert not seg.q_hit.flags.writeable
+            if seg.n_events:
+                assert np.shares_memory(seg.events[-1].v_post, seg.v_post)
+
+    @pytest.mark.parametrize("case", ["tangential", "double", "zero"])
+    def test_flagged_and_empty_segments(self, dense3, case):
+        from test_tangent import tangential_dense3_start
+
+        table, x, duration = {
+            "tangential": (dense3, tangential_dense3_start(), 1e12),
+            "double": (_double_table(), phase_point([0.25, 0.5], [0.0, -1.0]), 2.0),
+            "zero": (dense3, phase_point([0.5, 0.05, 0.1], [0.0, 0.0, 1.0]), 5.0),
+        }[case]
+        seg = evolve(x, table, duration)
+        events, flag, elapsed, tail, q, v, unwrapped = reference_evolve(x, table, duration)
+        assert len(seg.events) == len(events) == (0 if case == "zero" else 1)
+        for got, want in zip(seg.events, events):
+            assert_same_event(got, want)
+        assert (seg.singular_flag and (seg.singular_flag.kind, seg.singular_flag.event_index)) == flag
+        assert same_bits(seg.end.v, v) and same_bits(seg.end_unwrapped, unwrapped)
+        assert seg.q_hit.shape == seg.normal.shape == (seg.n_events, table.dim)
+
+    @pytest.mark.parametrize("name", ["sinai2", "skew3", "split4", "hs4x2", "skew4"])
+    def test_next_collision_equals_per_event_construction(self, request, name):
+        from cylbilliards.flow import _first_collision
+
+        table = _skew4_table() if name == "skew4" else request.getfixturevalue(name)
+        rng = np.random.default_rng(71)
+        for _ in range(10):
+            x = random_phase_point(table, rng)
+            got = next_collision(x, table, 50.0)
+            raw = _first_collision(x.q, x.v, flight_table(table), 50.0)
+            if raw is None:
+                assert got is None
+                continue
+            assert_same_event(got, reference_event(raw, np.asarray(x.v, dtype=float), 0.0))

@@ -3,18 +3,31 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from cylbilliards import TableFormatError, evolve, phase_point
+from cylbilliards import (
+    TableFormatError,
+    __version__,
+    evolve,
+    evolve_normal,
+    normal_vector,
+    phase_point,
+    random_phase_point,
+)
 from cylbilliards.cli import main
 from cylbilliards.tableio import (
     load_scenario,
+    segment_to_dict,
     table_from_dict,
     table_to_dict,
     write_events_csv,
+    write_json,
+    write_qmonitor_csv,
+    write_segment_json,
 )
 
 ORTHO3_DOC = {
@@ -93,6 +106,124 @@ class TestEventDump:
             assert float(row["q_hit_0"]) == event.q_hit[0]
 
 
+# ---------------------------------------------------------------------------
+# The per-event writers as they were before segments became columns. The
+# array-fed writers must reproduce their files byte for byte.
+# ---------------------------------------------------------------------------
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def _reference_meta(fh, meta):
+    fh.write(f"# tool_version={__version__}\n")
+    fh.write(f"# scenario_hash={meta.get('scenario_hash', '')}\n")
+
+
+def reference_events_csv(segment, path, meta):
+    d = segment.table.dim
+    header = (["time", "cylinder_index"] + [f"q_hit_{i}" for i in range(d)]
+              + [f"v_pre_{i}" for i in range(d)] + [f"v_post_{i}" for i in range(d)] + ["cos_phi"])
+    with open(path, "w", newline="") as fh:
+        _reference_meta(fh, meta)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for e in segment.events:
+            writer.writerow([_fmt(e.time), e.cylinder_index] + [_fmt(x) for x in e.q_hit]
+                            + [_fmt(x) for x in e.v_pre] + [_fmt(x) for x in e.v_post] + [_fmt(e.cos_phi)])
+
+
+def reference_segment_dict(segment, meta):
+    flag = segment.singular_flag
+    return {
+        "tool_version": __version__,
+        "scenario_hash": meta.get("scenario_hash", ""),
+        "duration": segment.duration,
+        "symbolic": list(segment.symbolic),
+        "singular_flag": None if flag is None else {"kind": flag.kind, "event_index": flag.event_index},
+        "start": {"q": list(map(float, segment.start.q)), "v": list(map(float, segment.start.v))},
+        "end": {"q": list(map(float, segment.end.q)), "v": list(map(float, segment.end.v))},
+        "events": [
+            {"time": e.time, "cylinder_index": e.cylinder_index, "q_hit": list(map(float, e.q_hit)),
+             "v_pre": list(map(float, e.v_pre)), "v_post": list(map(float, e.v_post)), "cos_phi": e.cos_phi}
+            for e in segment.events
+        ],
+    }
+
+
+def reference_qmonitor_csv(samples, path, meta):
+    d = samples[0][1].z.shape[0]
+    header = ["time"] + [f"z_{i}" for i in range(d)] + [f"w_{i}" for i in range(d)] + ["Q"]
+    with open(path, "w", newline="") as fh:
+        _reference_meta(fh, meta)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t, nv, q in samples:
+            writer.writerow([_fmt(t)] + [_fmt(x) for x in nv.z] + [_fmt(x) for x in nv.w] + [_fmt(q)])
+
+
+def writer_segments(table, name):
+    """Segments of one table: budget-truncated, cut by duration with a
+    tail, without events, and on dense3 the grazing repro."""
+    from test_tangent import tangential_dense3_start
+
+    rng = np.random.default_rng(90)
+    budget = evolve(random_phase_point(table, rng), table, 1e9, max_events=40)
+    segs = [budget, evolve(budget.start, table, 0.5 * (budget.time[4] + budget.time[5])),
+            evolve(random_phase_point(table, rng), table, 1e-9)]
+    if name == "dense3":
+        segs.append(evolve(tangential_dense3_start(), table, 1e12))
+    return segs
+
+
+class TestWritersMatchPerEventReference:
+    @pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4", "hs4x2"])
+    def test_files_byte_identical(self, request, tmp_path, name):
+        table = request.getfixturevalue(name)
+        meta = {"scenario_hash": "0123abcd"}
+        kinds = set()
+        for i, seg in enumerate(writer_segments(table, name)):
+            kinds.add(seg.singular_flag.kind if seg.singular_flag else ("tail" if seg.n_events else "empty"))
+            ref, got = tmp_path / f"ref{i}", tmp_path / f"got{i}"
+            reference_events_csv(seg, ref.with_suffix(".csv"), meta)
+            write_events_csv(seg, got.with_suffix(".csv"), meta)
+            assert got.with_suffix(".csv").read_bytes() == ref.with_suffix(".csv").read_bytes()
+            write_json(reference_segment_dict(seg, meta), ref.with_suffix(".json"))
+            write_segment_json(seg, got.with_suffix(".json"), meta)
+            assert got.with_suffix(".json").read_bytes() == ref.with_suffix(".json").read_bytes()
+            write_json(segment_to_dict(seg, meta), got.with_suffix(".dict.json"))
+            assert got.with_suffix(".dict.json").read_bytes() == ref.with_suffix(".json").read_bytes()
+            if seg.singular_flag is not None and seg.singular_flag.kind == "tangential":
+                continue
+            rng = np.random.default_rng(i)
+            n0 = normal_vector(rng.normal(size=table.dim), rng.normal(size=table.dim))
+            for rescale in (False, True):
+                samples = evolve_normal(n0, seg, rescale=rescale)
+                reference_qmonitor_csv(samples, ref.with_suffix(".q.csv"), meta)
+                write_qmonitor_csv(samples, got.with_suffix(".q.csv"), meta)
+                assert got.with_suffix(".q.csv").read_bytes() == ref.with_suffix(".q.csv").read_bytes()
+        assert {"budget_exceeded", "tail", "empty"} <= kinds
+        assert name != "dense3" or "tangential" in kinds
+
+
+    def test_velocities_not_chained_along_an_orbit(self, tmp_path, skew3):
+        # The writers reuse a v_post text for the next v_pre only when the two
+        # rows are bitwise equal: a signed zero or any other change is written.
+        seg = writer_segments(skew3, "skew3")[0]
+        v_pre, v_post = seg.v_pre.copy(), seg.v_post.copy()
+        v_pre[3] = -v_pre[3]
+        v_post[5, 1], v_pre[6, 1] = 0.0, -0.0
+        seg = dataclasses.replace(seg, v_pre=v_pre, v_post=v_post)
+        meta = {"scenario_hash": ""}
+        reference_events_csv(seg, tmp_path / "ref.csv", meta)
+        write_events_csv(seg, tmp_path / "got.csv", meta)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        write_json(reference_segment_dict(seg, meta), tmp_path / "ref.json")
+        write_segment_json(seg, tmp_path / "got.json", meta)
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+        assert b"-0," in (tmp_path / "got.csv").read_bytes()
+
+
 def _write_scenario(tmp_path, name, extra):
     path = tmp_path / name
     path.write_text(json.dumps({"table": ORTHO3_DOC, **extra}))
@@ -135,6 +266,29 @@ class TestCli:
         assert code == 3
         diag = json.loads(capsys.readouterr().err)
         assert "translation" in diag["error"]
+
+    @pytest.mark.parametrize("command, extra, field", [
+        ("simulate", {"start": {"q": [0.5, 0.1, 0.2], "v": [0.6, 0.8]}}, "start.q"),
+        ("simulate", {"start": {"q": [0.5, 0.1], "v": [0.6]}}, "start.v"),
+        ("simulate", {"start": {"q": [0.5, 0.1], "v": [0.6, "fast"]}}, "start.v"),
+        ("simulate", {"start": {"q": [0.5, float("nan")], "v": [0.6, 0.8]}}, "start.q"),
+        ("simulate", {"start": {"q": [0.5, 0.1], "v": [float("inf"), 0.8]}}, "start.v"),
+        ("simulate", {"start": {"q": [0.5, 0.1], "v": [0.6, 0.8]}, "duration": "long"}, "duration"),
+        ("simulate", {"start": {"q": [0.5, 0.1], "v": [0.6, 0.8]}, "max_events": "many"}, "max_events"),
+        ("qmonitor", {"start": {"q": [0.5, 0.1], "v": [0.6, 0.8]},
+                      "normal": {"z": [1.0, 0.0, 0.0], "w": [0.0, 1.0]}}, "normal.z"),
+        ("qmonitor", {"start": {"q": [0.5, 0.1], "v": [0.6, 0.8]},
+                      "normal": {"z": [1.0, 0.0], "w": [0.0]}}, "normal.w"),
+        ("lyapunov", {"seed": 1, "renorm_interval": "often"}, "renorm_interval"),
+        ("survey", {"seed": "lucky"}, "seed"),
+        ("survey", {"seed": 1, "samples": "many"}, "samples"),
+    ])
+    def test_bad_scenario_value_exit_3_names_field(self, tmp_path, capsys, command, extra, field):
+        disc = {"dimension": 2, "cylinders": [{"generator": [], "translation": [0.0, 0.0], "radius": 0.2}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"table": disc, **extra}))
+        assert main([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert json.loads(capsys.readouterr().err)["field"] == field
 
     def test_validation_failure_exit_2(self, tmp_path, capsys):
         path = tmp_path / "big.json"
