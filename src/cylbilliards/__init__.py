@@ -46,6 +46,7 @@ from .flow import (
     SingularFlag,
     cylinder_distance,
     evolve,
+    evolve_batch,
     next_collision,
     phase_point,
     random_phase_point,

@@ -10,6 +10,7 @@ embeds the scenario hash and tool version so runs are reproducible from
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .flow import PhasePoint, evolve, is_singular, random_phase_point
 from .geometry import transitivity_report
-from .hyperbolicity import sufficiency, survey_sufficiency
+from .hyperbolicity import ANSATZ, GENERIC, sufficiency, survey_sufficiency
 from .tableio import (
     Scenario,
     load_scenario,
@@ -76,21 +77,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing leaves it as
+    it was."""
+    return build_parser()
+
+
 def _diag(code: int, message: str, **extra) -> int:
     doc = {"error": message, "exit_code": code, "tool_version": TOOL_VERSION, **extra}
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
     return code
 
 
-def _number(scenario: Scenario, key: str, default, kind=float):
+def _number(scenario: Scenario, key: str, default, kind=float, least=None):
     """The scenario's ``key`` converted by ``kind``; TableFormatError naming
-    the field when that fails or gives NaN."""
+    the field when that fails, gives NaN or falls below ``least``."""
     try:
         number = kind(scenario.get(key, default))
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if number != number:
         raise TableFormatError(key, "must be a number")
+    if least is not None and number < least:
+        raise TableFormatError(key, f"must be at least {least}")
     return number
 
 
@@ -153,7 +163,7 @@ def cmd_analyze(scenario: Scenario, args) -> int:
 def _evolve_from_scenario(scenario: Scenario, args) -> tuple:
     start = _resolve_start(scenario, args)
     duration = _number(scenario, "duration", 100.0)
-    max_events = _number(scenario, "max_events", 10**6, int)
+    max_events = _number(scenario, "max_events", 10**6, int, least=1)
     segment = evolve(start, scenario.table, duration, max_events=max_events)
     return start, segment
 
@@ -216,7 +226,7 @@ def cmd_lyapunov(scenario: Scenario, args) -> int:
     try:
         report = lyapunov_spectrum(start, scenario.table, duration,
                                    renorm_interval=renorm, seed=seed,
-                                   max_events=_number(scenario, "max_events", 10**6, int))
+                                   max_events=_number(scenario, "max_events", 10**6, int, least=1))
     except SingularityEncountered as exc:
         if exc.partial_report is not None:
             write_json(lyapunov_to_dict(exc.partial_report, meta),
@@ -230,13 +240,16 @@ def cmd_lyapunov(scenario: Scenario, args) -> int:
 
 def cmd_survey(scenario: Scenario, args) -> int:
     seed = _resolve_seed(scenario, args, required=True)
+    mode = scenario.get("mode", GENERIC)
+    if mode not in (GENERIC, ANSATZ):
+        raise TableFormatError("mode", f"must be {GENERIC!r} or {ANSATZ!r}")
     result = survey_sufficiency(
         scenario.table,
-        sample_count=_number(scenario, "samples", 100, int),
+        sample_count=_number(scenario, "samples", 100, int, least=0),
         duration=_number(scenario, "duration", 50.0),
         seed=seed,
-        mode=scenario.get("mode", "generic"),
-        max_events=_number(scenario, "max_events", 10_000, int),
+        mode=mode,
+        max_events=_number(scenario, "max_events", 10_000, int, least=1),
         threads=max(1, args.threads),
     )
     meta = {"scenario_hash": scenario.scenario_hash}
@@ -260,7 +273,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
     except TableFormatError as exc:

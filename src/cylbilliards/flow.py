@@ -9,12 +9,19 @@ the balls; per window one Babai rounding recenters all balls and one numpy
 pass solves every entering root of the distance quadratics, and the earliest
 wins. Near-ties across distinct (cylinder, offset) candidates and
 near-grazing incidences are flagged rather than resolved. The same table
-answers the start checks: one rounding and a minimum over each ball give the
-distance from a point to every cylinder's nearest axis translate.
+answers the start checks: one rounding and a minimum over each ball gives
+the distance from a point to every cylinder's nearest axis translate.
+
+Many trajectories run in lockstep: one pass takes one window or one hit of
+every trajectory still in flight, with candidates laid out as padded
+(trajectories, rows, M) blocks. Each coordinate-mixing product is one BLAS
+call per trajectory, or per row, of exactly the shape the one-trajectory
+loop uses, so a trajectory computes the same bits in any batch as alone. A
+lone trajectory runs the plain loop, whose per-call cost is lower.
 
 A segment stores its events as columns. The flight loop keeps per hit only
 what the next flight needs; times, lattice offsets and the covering-space
-endpoint are finished once per segment with array operations.
+endpoint are finished once per batch with array operations.
 """
 
 from __future__ import annotations
@@ -38,6 +45,13 @@ EPS_DOUBLE = 1e-9
 MIN_FLIGHT = 1e-12
 # Slack when deciding whether a point is strictly inside a scatterer.
 INSIDE_TOL = 1e-10
+# A lockstep batch holds per trajectory arrays the size of the table's
+# stacked offset ball (rows x stacked base dimension), so batches, and the
+# samples a survey holds at once, are cut into equal parts of at most this
+# many ball entries: up to 20 trajectories on ortho3 (200 entries), one on
+# wide5 (43 616), where batches of 4 ran 1.6x slower than lone trajectories
+# and a batch of 48 raised the peak resident memory by 13.6 MB.
+LOCKSTEP_ENTRIES = 2**12
 
 BUDGET_EXCEEDED = "budget_exceeded"
 TANGENTIAL = "tangential"
@@ -172,6 +186,26 @@ def random_phase_point(table: BilliardTable, rng: np.random.Generator) -> PhaseP
     return PhasePoint(q, v / np.linalg.norm(v))
 
 
+def _random_starts(table: BilliardTable, rngs) -> list[PhasePoint]:
+    """One random_phase_point per generator, each drawn from its own stream
+    exactly as random_phase_point draws it: positions until one is clear,
+    then a velocity. Each rejection round checks every pending position
+    with one stacked axis_gaps."""
+    d = table.dim
+    ft = flight_table(table)
+    q = np.empty((len(rngs), d))
+    pending = np.arange(len(rngs))
+    while pending.size:
+        for i in pending.tolist():
+            q[i] = rngs[i].random(d)
+        pending = pending[~(ft.axis_distances(q[pending]) > ft.radius).all(axis=1)]
+    starts = []
+    for x, rng in zip(q, rngs):
+        v = rng.normal(size=d)
+        starts.append(PhasePoint(x, v / np.linalg.norm(v)))
+    return starts
+
+
 # ---------------------------------------------------------------------------
 # Per-table flight data: every cylinder's candidate offsets, stacked
 # ---------------------------------------------------------------------------
@@ -232,16 +266,28 @@ class _FlightTable:
         self.start_first = np.searchsorted(self.start_cid, np.arange(len(lats)))
 
     def axis_gaps(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The torus point q relative to the axis translate of every start
-        row (rows in stacked base coordinates), their squared lengths, and
-        each cylinder's distance to its nearest axis translate: one
-        block-diagonal Babai rounding, then a minimum over each cylinder's
-        start rows. The nearest translate lies within 2 |residual| <=
-        2 babai_bound of the Babai point, so it is among them."""
-        _, e = babai_round(self.onb @ q - self.shift, self.basis, self.basis_inv)
+        """For torus points q (..., d): each point relative to the axis
+        translate of every start row (rows in stacked base coordinates), their
+        squared lengths, and each cylinder's distance to its nearest axis
+        translate: one block-diagonal Babai rounding, then a minimum over each
+        cylinder's start rows. The nearest translate lies within
+        2 |residual| <= 2 babai_bound of the Babai point, so it is among
+        them. Each point takes the products a lone point takes."""
+        y = (self.onb @ np.asarray(q, dtype=float)[..., None])[..., 0] - self.shift
+        _, e = babai_round(y[..., None, :], self.basis, self.basis_inv)
         rel = self.start_mask * e - self.start_offsets
-        d_sq = np.einsum("ij,ij->i", rel, rel)
-        return rel, d_sq, np.sqrt(np.minimum.reduceat(d_sq, self.start_first))
+        d_sq = np.einsum("...ij,...ij->...i", rel, rel)
+        return rel, d_sq, np.sqrt(np.minimum.reduceat(d_sq, self.start_first, axis=-1))
+
+    def axis_distances(self, q: np.ndarray) -> np.ndarray:
+        """Each cylinder's distance to its nearest axis translate from the
+        torus points q (B, d), the third output of ``axis_gaps``, taken a few
+        points at a time so that the start rows of wide tables stay within
+        LOCKSTEP_ENTRIES per call."""
+        step = max(1, LOCKSTEP_ENTRIES // self.start_offsets.size)
+        if len(q) <= step:
+            return self.axis_gaps(q)[2]
+        return np.concatenate([self.axis_gaps(q[i:i + step])[2] for i in range(0, len(q), step)])
 
 
 def _first_collision(q0: np.ndarray, v: np.ndarray, ft: _FlightTable, t_max: float):
@@ -315,31 +361,44 @@ def _hit(raw, v: np.ndarray) -> tuple:
     return base + s_rel, k, q_hit - shift, shift, lam, normal, -vn, v - 2.0 * vn * normal, near_double
 
 
-def _finish(ft: _FlightTable, hits: list, v_pre: list) -> dict:
-    """The columns of a segment from its hits and incoming velocities: the
-    geometry the flight loop does not need, finished once per segment."""
-    n, d = len(hits), ft.onb.shape[1]
-    flight, cid, q_hit, shift, lam, normal, cos_phi, v_post, near_double = zip(*hits) if n else [()] * 9
-    flight = np.array(flight, dtype=float)
-    cid = np.array(cid, dtype=int)
-    cos_phi = np.array(cos_phi, dtype=float)
-    q_hit, shift, normal, v_post, v_pre = (np.array(c, dtype=float).reshape(n, d)
-                                           for c in (q_hit, shift, normal, v_post, v_pre))
-    lam = np.array(lam, dtype=float).reshape(n, len(ft.onb))
-    lattice_offset = np.empty((n, d))
+def _finish(ft: _FlightTable, hits: dict) -> dict:
+    """The columns of the hits of any number of segments, from the per-hit
+    arrays of a flight loop (flight, cylinder_id, q_hit, shift, lam, normal,
+    cos_phi, v_post, near_double, v_pre): the geometry the loop does not
+    need, finished once."""
+    cid, lam, shift = hits["cylinder_id"], hits["lam"], hits["shift"]
+    lattice_offset = np.empty_like(shift)
     for k in set(cid.tolist()):
         at, blk = (cid == k).nonzero()[0], ft.blocks[k]
         # Stacked vector products, so that each row is rounded exactly as its
         # own product lam_k @ onb - P @ shift_k would be.
         lattice_offset[at] = ((lam[at, blk][:, None, :] @ ft.onb[blk])[:, 0]
                               - (ft.projectors[k] @ shift[at, :, None])[:, :, 0])
-    cols = dict(time=np.cumsum(flight), flight=flight, cylinder_id=cid, q_hit=q_hit,
-                lattice_offset=lattice_offset, normal=normal, v_pre=v_pre, v_post=v_post,
-                cos_phi=cos_phi, grazing=cos_phi < EPS_TANG,
-                near_double=np.array(near_double, dtype=bool))
+    cols = dict(flight=hits["flight"], cylinder_id=cid, q_hit=hits["q_hit"], lattice_offset=lattice_offset,
+                normal=hits["normal"], v_pre=hits["v_pre"], v_post=hits["v_post"], cos_phi=hits["cos_phi"],
+                grazing=hits["cos_phi"] < EPS_TANG, near_double=hits["near_double"])
     for col in cols.values():
         col.flags.writeable = False
     return cols
+
+
+# The per-hit arrays both flight loops return, in ``_hit`` order, then the
+# incoming velocity and the trajectory.
+_HITS = ("flight", "cylinder_id", "q_hit", "shift", "lam", "normal", "cos_phi", "v_post", "near_double",
+         "v_pre", "ids")
+
+
+def _hit_arrays(hits: list, d: int, size: int) -> dict:
+    """Per-hit tuples (as from ``_hit``, then v_pre) as arrays of one
+    trajectory."""
+    n = len(hits)
+    cols = zip(*hits) if n else [()] * (len(_HITS) - 1)
+    kinds = (float, int, float, float, float, float, float, float, bool, float)
+    widths = (0, 0, d, d, size, d, 0, d, 0, d)
+    out = {name: np.array(c, dtype=kind).reshape((n, w) if w else n)
+           for name, c, kind, w in zip(_HITS, cols, kinds, widths)}
+    out["ids"] = np.zeros(n, dtype=int)
+    return out
 
 
 def next_collision(x: PhasePoint, table: BilliardTable, t_max: float) -> CollisionEvent | None:
@@ -348,35 +407,47 @@ def next_collision(x: PhasePoint, table: BilliardTable, t_max: float) -> Collisi
     Raises StartsInsideScatterer when x sits strictly inside a cylinder.
     Grazing and near-double candidates are flagged inside the returned event.
     """
-    _start_velocity(x, table)  # only for its check: the flight keeps x.v
-    v = np.asarray(x.v, dtype=float)
     ft = flight_table(table)
+    v = np.asarray(x.v, dtype=float)
+    # Only for its check: the flight keeps x.v.
+    error = _start_velocities(ft, np.asarray(x.q, dtype=float)[None], v[None])[1][0]
+    if error is not None:
+        raise error
     raw = _first_collision(x.q, v, ft, t_max)
     if raw is None:
         return None
-    return _event_rows(table, _finish(ft, [_hit(raw, v)], [v]))[0]
+    cols = _finish(ft, _hit_arrays([_hit(raw, v) + (v,)], table.dim, len(ft.onb)))
+    return _event_rows(table, dict(time=cols["flight"], **cols))[0]
 
 
-def _start_velocity(x: PhasePoint, table: BilliardTable) -> np.ndarray:
-    """Raises StartsInsideScatterer when x sits strictly inside a cylinder.
-    Otherwise returns the velocity after identifying incoming with outgoing
-    states on the boundary: a start point sitting on a scatterer with inward
-    radial velocity is reflected, so that time reversal at a collision
-    endpoint retraces the orbit instead of tunneling through the tube."""
-    v = np.array(x.v, dtype=float)
-    ft = flight_table(table)
-    rel, d_sq, dists = ft.axis_gaps(np.asarray(x.q, dtype=float))
-    for k, (dist, radius) in enumerate(zip(dists.tolist(), ft.radius.tolist())):
+def _start_velocities(ft: _FlightTable, q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, list]:
+    """Start velocities of the points q (B, d) with velocities v, and per
+    point the StartsInsideScatterer it raises when it sits strictly inside a
+    cylinder (else None). Incoming and outgoing states on the boundary are
+    identified: a start point sitting on a scatterer with inward radial
+    velocity is reflected, so that time reversal at a collision endpoint
+    retraces the orbit instead of tunneling through the tube."""
+    v = np.array(v, dtype=float)
+    errors: list = [None] * len(q)
+    dists = ft.axis_distances(q)
+    # The points within twice the tolerance of a scatterer, then the tests.
+    for i, k in zip(*(dists < ft.radius + 2.0 * INSIDE_TOL).nonzero()):
+        dist, radius = float(dists[i, k]), float(ft.radius[k])
+        if errors[i] is not None:
+            continue
         if dist < radius - INSIDE_TOL:
-            raise StartsInsideScatterer(f"start point is {radius - dist:.3e} inside cylinder {k + 1}")
-        if abs(dist - radius) <= INSIDE_TOL and dist > 0:
-            blk = ft.blocks[k]
-            row = ft.start_first[k] + int(d_sq[ft.start_cid == k].argmin())
-            normal = rel[row, blk] @ ft.onb[blk] / dist
-            vn = float(v @ normal)
-            if vn < 0:
-                v = v - 2.0 * vn * normal
-    return v
+            errors[i] = StartsInsideScatterer(f"start point is {radius - dist:.3e} inside cylinder {k + 1}")
+            continue
+        if not (abs(dist - radius) <= INSIDE_TOL and dist > 0):
+            continue
+        rel, d_sq, _ = ft.axis_gaps(q[i])
+        blk = ft.blocks[k]
+        row = ft.start_first[k] + int(d_sq[ft.start_cid == k].argmin())
+        normal = rel[row, blk] @ ft.onb[blk] / dist
+        vn = float(v[i] @ normal)
+        if vn < 0:
+            v[i] = v[i] - 2.0 * vn * normal
+    return v, errors
 
 
 def evolve(x: PhasePoint, table: BilliardTable, duration: float,
@@ -388,17 +459,71 @@ def evolve(x: PhasePoint, table: BilliardTable, duration: float,
     are re-reduced to [0,1)^d after every flight, and the covering-space
     endpoint is tracked separately for derivative checks.
     """
-    speed = float(np.linalg.norm(x.v))
-    if abs(speed - 1.0) > 1e-9:
-        raise ValueError(f"|v| = {speed} is not 1")
+    (segment,) = evolve_batch([x], table, duration, max_events)
+    if isinstance(segment, StartsInsideScatterer):
+        raise segment
+    return segment
 
+
+def evolve_batch(starts, table: BilliardTable, duration: float,
+                 max_events: int = 10**6) -> list:
+    """``evolve`` of every start, all advancing together.
+
+    Returns one entry per start: its OrbitSegment, bitwise equal to what
+    ``evolve`` gives for that start alone, or the StartsInsideScatterer the
+    start raises when it sits strictly inside a cylinder, which leaves the
+    other starts unaffected.
+    """
+    if max_events < 1:
+        raise ValueError(f"max_events = {max_events} is below 1")
+    starts = list(starts)
+    for x in starts:
+        speed = float(np.linalg.norm(x.v))
+        if abs(speed - 1.0) > 1e-9:
+            raise ValueError(f"|v| = {speed} is not 1")
+    d = table.dim
+    q = np.array([x.q for x in starts], dtype=float).reshape(-1, d)
+    v = np.array([x.v for x in starts], dtype=float).reshape(-1, d)
     ft = flight_table(table)
-    q = np.array(x.q, dtype=float)
-    v = _start_velocity(x, table)
-    elapsed = tail = 0.0
-    hits, v_pre = [], []
-    flag: SingularFlag | None = None
+    v, errors = _start_velocities(ft, q, v)
+    run = [i for i, err in enumerate(errors) if err is None]
+    out = list(errors)
+    zero = np.zeros((1, d))
+    for part in _lockstep_parts(table, len(run)):
+        batch = run[part]
+        kernel = _trajectory if len(batch) == 1 else _lockstep
+        hits, counts, end_q, end_v, tail, elapsed, flags = kernel(ft, q[batch], v[batch], duration, max_events)
+        cols = _finish(ft, hits)
+        steps = cols["flight"][:, None] * cols["v_pre"]
+        begin = 0
+        for t, (i, n) in enumerate(zip(batch, counts)):
+            at = slice(begin, begin + n)
+            begin += n
+            time = np.cumsum(cols["flight"][at])
+            time.flags.writeable = False
+            # The covering-space displacement, summed flight by flight in order.
+            unwrapped = q[i] + np.cumsum(np.concatenate([zero, steps[at], tail[t] * end_v[t:t + 1]]), axis=0)[-1]
+            out[i] = OrbitSegment(start=starts[i], duration=float(elapsed[t]), tail=float(tail[t]), time=time,
+                                  **{name: col[at] for name, col in cols.items()}, singular_flag=flags[t],
+                                  end=PhasePoint(end_q[t], end_v[t]), end_unwrapped=unwrapped, table=table)
+    return out
 
+
+def _lockstep_parts(table: BilliardTable, count: int) -> list[slice]:
+    """``count`` trajectories of this table cut into equal lockstep batches
+    of at most LOCKSTEP_ENTRIES ball entries each."""
+    parts = math.ceil(count * flight_table(table).offsets.size / LOCKSTEP_ENTRIES)
+    size = math.ceil(count / parts) if parts else 0
+    return [slice(i, i + size) for i in range(0, count, size)] if size else []
+
+
+def _trajectory(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float, max_events: int):
+    """``_lockstep`` for one trajectory (q, v) (1, d), as a plain flight
+    loop: alone, a trajectory's array bookkeeping in the lockstep costs more
+    than its flights. Same arithmetic, same returns."""
+    q, v = q[0], v[0]
+    elapsed = tail = 0.0
+    hits, flag = [], None
     while True:
         remaining = duration - elapsed
         if remaining <= 0:
@@ -411,8 +536,7 @@ def evolve(x: PhasePoint, table: BilliardTable, duration: float,
             break
         hit = _hit(raw, v)
         flight, _, q, _, _, _, cos_phi, v_post, near_double = hit
-        hits.append(hit)
-        v_pre.append(v)
+        hits.append(hit + (v,))
         elapsed += flight
         if cos_phi < EPS_TANG:
             flag = SingularFlag(TANGENTIAL, len(hits) - 1)
@@ -424,17 +548,210 @@ def evolve(x: PhasePoint, table: BilliardTable, duration: float,
         if len(hits) >= max_events and elapsed < duration:
             flag = SingularFlag(BUDGET_EXCEEDED, len(hits) - 1)
             break
+    return (_hit_arrays(hits, len(q), len(ft.onb)), [len(hits)], q[None], v[None], np.array([tail]),
+            np.array([elapsed]), [flag])
 
-    cols = _finish(ft, hits, v_pre)
-    # The covering-space displacement, summed flight by flight in order.
-    steps = np.vstack([np.zeros_like(q), cols["flight"][:, None] * cols["v_pre"], tail * v])
-    return OrbitSegment(
-        start=x,
-        duration=elapsed,
-        tail=tail,
-        **cols,
-        singular_flag=flag,
-        end=PhasePoint(np.array(q), np.array(v)),
-        end_unwrapped=x.q + np.cumsum(steps, axis=0)[-1],
-        table=table,
-    )
+
+# ---------------------------------------------------------------------------
+# The lockstep kernel
+# ---------------------------------------------------------------------------
+
+# The kernel's per-trajectory state, and the candidate rows of each flight,
+# padded to a common width with pad rows, which never hit: no product is
+# taken over them, so their b is 0.
+_STATE = ("ids", "q0", "q", "v", "uc", "base", "left", "elapsed", "count", "window", "n_rows")
+_ROWS = ("rows", "r_sq", "a_row")
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row dot products of a and b (n, d), each the one-dimensional
+    ``a[i] @ b[i]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _take(state: dict, at) -> dict:
+    return {name: arr[at] for name, arr in state.items()}
+
+
+def _merge(a: dict, b: dict) -> dict:
+    """Two groups of trajectories as one, the rows of the narrower padded."""
+    width = max(a["rows"].shape[1], b["rows"].shape[1])
+    out = {name: np.concatenate([a[name], b[name]]) for name in _STATE}
+    for name in _ROWS:
+        parts = []
+        for arr in (a[name], b[name]):
+            if arr.shape[1] < width:
+                arr = np.concatenate([arr, np.zeros((len(arr), width - arr.shape[1]), dtype=arr.dtype)], axis=1)
+            parts.append(arr)
+        out[name] = np.concatenate(parts)
+    return out
+
+
+def _tubes(ft: _FlightTable, v: np.ndarray) -> dict:
+    """``_first_collision``'s per-flight set-up for flights with velocities v
+    (C, d), one matrix-vector product per flight: the stacked base velocity
+    ``uc``, the tube rows in table order, padded to a common width R >= 2
+    (``rows`` pads with row 0, ``n_rows`` counts the real ones), with their
+    r^2 and |base velocity|^2, and the window length."""
+    n_v = len(v)
+    uc = (ft.onb @ v[:, :, None])[:, :, 0]
+    a_row = (ft.mask @ (uc * uc)[:, :, None])[:, :, 0]
+    off_u = (ft.offsets @ uc[:, :, None])[:, :, 0]
+    keep = (ft.tube_excess * a_row <= off_u * off_u) & (a_row > 1e-28)
+    n_rows = keep.sum(axis=1)
+    # Kept rows first, in table order; past n_rows the entries are pads.
+    flight, row = keep.nonzero()
+    rows = np.zeros((n_v, max(2, int(n_rows.max()))), dtype=int)
+    rows[flight, np.cumsum(keep, axis=1)[flight, row] - 1] = row
+    at = np.arange(n_v)[:, None]
+    a_row = a_row[at, rows]
+    window = np.where(np.arange(rows.shape[1]) < n_rows[:, None], ft.window_len[rows], np.inf) / np.sqrt(a_row)
+    return dict(uc=uc, n_rows=n_rows, rows=rows, r_sq=ft.r_sq[rows], a_row=a_row, window=window.min(axis=1))
+
+
+def _lockstep(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float, max_events: int):
+    """Run trajectories (q, v) (B, d) for ``duration``, all together: the
+    flight loop of ``_trajectory`` with every trajectory's arithmetic
+    unchanged.
+
+    Each pass takes one window of every trajectory still in flight. One with
+    a root inside its window records the hit and, unless the hit is flagged
+    or the budget is spent, starts its next flight; one without moves to its
+    next window, and its flight ends when the windows reach the remaining
+    time.
+
+    Returns the per-hit arrays of all trajectories (``_HITS``; ``ids`` names
+    the trajectory), ordered by trajectory and then time, and per
+    trajectory its number of hits, end point, end velocity, tail, elapsed
+    time and flag.
+    """
+    n_traj, d = q.shape
+    end_q, end_v = q.copy(), v.copy()
+    tail, elapsed = np.zeros(n_traj), np.zeros(n_traj)
+    counts = np.zeros(n_traj, dtype=int)
+    flags: list[SingularFlag | None] = [None] * n_traj
+    hits = []
+
+    def land(st: dict, over) -> None:
+        """Flights that end free: the tail is all the time left, flown from
+        the flight's start."""
+        ids, left, v_o = st["ids"][over], st["left"][over], st["v"][over]
+        end_q[ids] = np.mod(st["q0"][over] + left[:, None] * v_o, 1.0)
+        end_v[ids], tail[ids], elapsed[ids], counts[ids] = v_o, left, duration, st["count"][over]
+
+    def take_off(ids, q0, v0, time, count) -> list:
+        """New flights, as a list of at most one state; a flight that keeps
+        no candidate row lands at once."""
+        st = _tubes(ft, v0)
+        st.update(ids=ids, q0=q0, q=q0, v=v0, base=np.zeros(len(ids)), left=duration - time, elapsed=time,
+                  count=count)
+        idle = st["n_rows"] == 0
+        if idle.any():
+            land(st, idle)
+            st = _take(st, (~idle).nonzero()[0])
+        return [st] if len(st["ids"]) else []
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parts = take_off(np.arange(n_traj), q, v, np.zeros(n_traj), np.zeros(n_traj, dtype=int)) \
+            if duration > 0 and n_traj else []
+        while parts:
+            st = parts[0] if len(parts) == 1 else _merge(*parts)
+            parts = []
+            n_live = len(st["ids"])
+            w = np.minimum(st["window"], st["left"] - st["base"])
+            lam0, e = babai_round((ft.onb @ st["q"][:, :, None])[:, None, :, 0] - ft.shift, ft.basis, ft.basis_inv)
+            # Each candidate's position relative to its axis translate.
+            rel = ft.mask[st["rows"]] * e - ft.offsets[st["rows"]]
+            # One matrix-vector product per trajectory over its own rows, as
+            # in the one-trajectory loop.
+            b = np.zeros(st["r_sq"].shape)
+            for i, n in enumerate(st["n_rows"].tolist()):
+                np.matmul(rel[i, :n], st["uc"][i], out=b[i, :n])
+            gamma = np.add.reduce(rel * rel, axis=2) - st["r_sq"]
+            bb, ag = b * b, st["a_row"] * gamma
+            disc = bb - ag
+            # Discriminants within rounding noise of zero are exact
+            # tangencies: the chord is numerically unresolvable, so no event
+            # is generated.
+            hit = (disc > 1e-14 * (bb + np.abs(ag))) & (b < 0.0)
+            h = ()
+            if hit.any():
+                # Stable smaller root of a s^2 + 2 b s + gamma = 0.
+                s = gamma / (np.sqrt(disc) - b)
+                s = np.where(hit & (s > MIN_FLIGHT), s, np.inf)
+                # Roots slightly beyond the window feed the near-double count
+                # only; the event itself must land inside (MIN_FLIGHT, w].
+                # Equal roots go to the first row: the first cylinder, then
+                # its first offset.
+                j = s.argmin(axis=1)
+                s_min = s[np.arange(n_live), j]
+                got = s_min <= w
+                h = got.nonzero()[0]
+            if len(h):
+                j, s_h, ids = j[h], s_min[h], st["ids"][h]
+                row = st["rows"][h, j]
+                k = ft.cid[row]
+                moved = rel[h, j] + s_h[:, None] * st["uc"][h]
+                radial = np.empty((len(h), d))
+                for c in set(k.tolist()):
+                    at, blk = (k == c).nonzero()[0], ft.blocks[c]
+                    radial[at] = (moved[at, blk][:, None, :] @ ft.onb[blk])[:, 0]
+                normal = radial / np.sqrt(_dots(radial, radial))[:, None]
+                v_pre, q_w = st["v"][h], st["q"][h]
+                vn = _dots(v_pre, normal)
+                q_hit = q_w + s_h[:, None] * v_pre
+                shift = np.floor(q_hit)
+                q_hit -= shift
+                flight = st["base"][h] + s_h
+                time = st["elapsed"][h] + flight
+                v_post = v_pre - (2.0 * vn)[:, None] * normal
+                near_double = np.count_nonzero(s[h] <= (s_h + EPS_DOUBLE)[:, None], axis=1) > 1
+                cos_phi = -vn
+                count = st["count"][h] + 1
+                hits.append((flight, k, q_hit, shift, lam0[h, 0] + ft.offsets[row], normal, cos_phi, v_post,
+                             near_double, v_pre, ids, count))
+                flagged = (cos_phi < EPS_TANG) | near_double
+                go = (count < max_events) & (time < duration) & ~flagged
+                if not go.all():
+                    done = (~go).nonzero()[0]
+                    ids_d = ids[done]
+                    end_q[ids_d], elapsed[ids_d], counts[ids_d] = q_hit[done], time[done], count[done]
+                    # A tangential or double hit keeps the incoming velocity.
+                    end_v[ids_d] = np.where(flagged[done, None], v_pre[done], v_post[done])
+                    for i in done.tolist():
+                        kind = TANGENTIAL if cos_phi[i] < EPS_TANG else DOUBLE if near_double[i] else \
+                            BUDGET_EXCEEDED if time[i] < duration else None
+                        if kind:
+                            flags[int(ids[i])] = SingularFlag(kind, int(count[i]) - 1)
+                    go = go.nonzero()[0]
+                    ids, q_hit, v_post, time, count = ids[go], q_hit[go], v_post[go], time[go], count[go]
+                if len(ids):
+                    parts += take_off(ids, q_hit, v_post, time, count)
+            if len(h) < n_live:
+                rest = st
+                if len(h):
+                    missed = (~got).nonzero()[0]
+                    rest, w = _take(st, missed), w[missed]
+                # Overlap consecutive windows so a root within MIN_FLIGHT of
+                # the boundary cannot be skipped by the minimum-flight guard.
+                step = np.where(w <= 2e-10, w, w - 1e-10)
+                rest = dict(rest, q=np.mod(rest["q"] + step[:, None] * rest["v"], 1.0), base=rest["base"] + step)
+                over = rest["base"] >= rest["left"] - 1e-15
+                if over.any():
+                    land(rest, over)
+                    rest = _take(rest, (~over).nonzero()[0])
+                if len(rest["ids"]):
+                    parts.append(rest)
+
+    if not hits:
+        return _hit_arrays([], d, len(ft.onb)), counts.tolist(), end_q, end_v, tail, elapsed, flags
+    # Each hit to its place: after the earlier trajectories' hits, at its
+    # own event number.
+    *columns, number = (np.concatenate(c) for c in zip(*hits))
+    hits.clear()
+    place = (np.cumsum(counts) - counts)[columns[-1]] + number - 1
+    cols = {}
+    for name, col in zip(_HITS, columns):
+        cols[name] = np.empty_like(col)
+        cols[name][place] = col
+    return cols, counts.tolist(), end_q, end_v, tail, elapsed, flags

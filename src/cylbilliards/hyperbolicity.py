@@ -27,11 +27,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import EmptySequence, NotNeutralError, SingularSegment, StartsInsideScatterer, UnknownCylinderIndex
-from .flow import OrbitSegment, PhasePoint, evolve, flight_table, is_singular, random_phase_point
+from .errors import EmptySequence, NotNeutralError, SingularSegment, UnknownCylinderIndex
+from .flow import (OrbitSegment, PhasePoint, _random_starts, evolve_batch, flight_table, is_singular,
+                   _lockstep_parts)
 from .geometry import BilliardTable, base_ranks
 from .linalg import nullspace, orthonormal_basis
 from .tangent import transport
@@ -133,6 +135,115 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
     return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
                               method=ADVANCE_SYSTEM, largest_kept_sv=max(kept, default=0.0),
                               smallest_dropped_sv=min(dropped, default=None))
+
+
+def _forward_walks(segments, rows: np.ndarray) -> list:
+    """``_forward_walk`` of every segment, all at once: per segment its
+    NeutralSpaceResult, or the NotNeutralError the walk raises.
+
+    At collision k the segments still running are grouped by (cylinder hit,
+    rows left): each group takes one stacked product, SVD and eigvalsh whose
+    every item is the call ``_forward_walk`` makes for that segment alone,
+    so each result is bitwise the lone walk's. Cuts and advances are
+    recorded per segment and replayed in order at the end. A lone segment
+    runs ``_forward_walk`` itself, whose per-collision cost is lower.
+    """
+    if len(segments) == 1:
+        try:
+            return [_forward_walk(segments[0], rows)]
+        except NotNeutralError as exc:
+            return [exc]
+    n_seg, (n_rows, d) = len(segments), rows.shape
+    counts = [seg.n_events for seg in segments]
+    n_max = max(counts, default=0)
+    cids = [seg.cylinder_id.tolist() for seg in segments]
+    bases = [c.base_basis for c in segments[0].table.cylinders] if n_seg else []
+    # Every event's base velocity B_k v_k and its squared length, and the
+    # velocity jump, padded to the longest segment.
+    v_base = np.zeros((n_seg, n_max, max((len(b) for b in bases), default=0)))
+    jumps = np.zeros((n_seg, n_max, d))
+    for i, (seg, n) in enumerate(zip(segments, counts)):
+        jumps[i, :n] = seg.v_post - seg.v_pre
+        for c in set(cids[i]):
+            at = (seg.cylinder_id == c).nonzero()[0]
+            v_base[i, at, :len(bases[c])] = (bases[c] @ seg.v_pre[at][:, :, None])[:, :, 0]
+    v_sq = (v_base[:, :, None, :] @ v_base[:, :, :, None])[:, :, 0, 0]
+    images = [rows] * n_seg
+    alphas = np.zeros((n_seg, n_max, n_rows))
+    sizes = [n_rows] * n_seg
+    cuts: list[list] = [[] for _ in segments]
+    ranks = []  # per group and step: members, singular values, thresholds, ranks
+    failed: list = [None] * n_seg
+    active = [i for i in range(n_seg) if counts[i]]
+    for k in range(n_max):
+        active = [i for i in active if counts[i] > k and failed[i] is None]
+        groups: dict = {}
+        for i in active:
+            groups.setdefault((cids[i][k], sizes[i]), []).append(i)
+        for (c, p), members in groups.items():
+            g = np.array(members)
+            base_rows = bases[c]
+            image = images[members[0]][None] if len(members) == 1 else np.stack([images[i] for i in members])
+            w_b = image @ base_rows.T
+            v_b = v_base[g, k, :len(base_rows)]
+            alpha = (w_b @ v_b[:, :, None])[:, :, 0] / v_sq[g, k][:, None]
+            u, s, _ = np.linalg.svd(w_b - alpha[:, :, None] * v_b[:, None, :])
+            # Absolute and scaled by max(1, |W_k|_2): a threshold relative to
+            # the largest residual would drop the velocity direction (see
+            # README). |W_k|_2^2 is the top eigenvalue of the p x p Gram
+            # matrix, a third of the cost of np.linalg.norm(images, 2).
+            top = np.linalg.eigvalsh(image @ image.transpose(0, 2, 1))[:, -1]
+            threshold = ADVANCE_ATOL * np.sqrt(np.maximum(1.0, top))
+            rank = (s > threshold[:, None]).sum(axis=1)
+            ranks.append((g, s, threshold, rank))
+            values = set(rank.tolist())
+            for r in values:
+                at = slice(None) if len(values) == 1 else (rank == r).nonzero()[0]
+                sub, image_r, alpha_r = g[at], image[at], alpha[at]
+                if r == p:
+                    for i, smallest in zip(sub.tolist(), s[at, -1].tolist()):
+                        failed[i] = NotNeutralError(k, smallest)
+                    continue
+                if r:
+                    keep = u[at][:, :, r:].transpose(0, 2, 1)
+                    image_r, alpha_r = keep @ image_r, (keep @ alpha_r[:, :, None])[:, :, 0]
+                    for i, cut in zip(sub.tolist(), keep):
+                        cuts[i].append((k, cut))
+                        sizes[i] = p - r
+                alphas[sub, k, :p - r] = alpha_r
+                images_r = image_r + alpha_r[:, :, None] * jumps[sub, k][:, None, :]
+                for i, image_i in zip(sub.tolist(), images_r):
+                    images[i] = image_i
+    # Rank margins over the threshold, per segment: the largest singular
+    # value treated as zero (0.0 if none) and the smallest one counted.
+    kept, dropped = np.zeros(n_seg), np.full(n_seg, np.inf)
+    by_width: dict = {}
+    for record in ranks:
+        by_width.setdefault(record[1].shape[1], []).append(record)
+    for width, records in by_width.items():
+        g, s, threshold, rank = (np.concatenate(c) for c in zip(*records))
+        at = np.arange(len(g))
+        part = rank < width
+        np.maximum.at(kept, g[part], s[at[part], rank[part]] / threshold[part])
+        part = rank > 0
+        np.minimum.at(dropped, g[part], s[at[part], rank[part] - 1] / threshold[part])
+    results = []
+    for i, n in enumerate(counts):
+        if failed[i] is not None:
+            results.append(failed[i])
+            continue
+        # Replay the cuts on the recorded advances, in order, as one walk
+        # applies them to its advance matrix.
+        basis, advances, done, p = rows, np.zeros((n_rows, n)), 0, n_rows
+        for k, keep in cuts[i]:
+            advances[:, done:k] = alphas[i, done:k, :p].T
+            basis, advances, done, p = keep @ basis, keep @ advances, k, keep.shape[0]
+        advances[:, done:] = alphas[i, done:n, :p].T
+        results.append(NeutralSpaceResult(
+            basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
+            method=ADVANCE_SYSTEM, largest_kept_sv=float(kept[i]),
+            smallest_dropped_sv=float(dropped[i]) if dropped[i] < np.inf else None))
+    return results
 
 
 def neutral_space_advance(segment: OrbitSegment, table: BilliardTable | None = None) -> NeutralSpaceResult:
@@ -274,7 +385,7 @@ TANGENCY_BAND = 0.05
 SAMPLE_ERROR = "error"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SurveyRow:
     sample_id: int
     seed: int
@@ -304,94 +415,125 @@ def survey_sufficiency(table: BilliardTable, sample_count: int, duration: float,
     outside the scatterers); ansatz mode starts on scatterer boundaries with
     outgoing velocities in a near-tangency band, proxying points freshly past
     a singular reflection, and tests forward sufficiency within ``duration``.
-    Per-sample generators are derived from (seed, sample_id) and results merge
-    by sample index, so output is deterministic and independent of scheduling
-    (``threads`` > 1 runs samples in worker processes).
+    Per-sample generators are derived from (seed, sample_id), and the samples
+    are drawn, evolved and walked together as one batch in which each
+    sample's result is bitwise what it gives alone. Output is therefore
+    deterministic and independent of scheduling: ``threads`` > 1 splits the
+    samples into that many contiguous batches run in worker processes.
     """
     if mode not in (GENERIC, ANSATZ):
         raise ValueError(f"unknown survey mode {mode!r}")
+    if sample_count < 0:
+        raise ValueError(f"sample_count = {sample_count} is negative")
+    if max_events < 1:
+        raise ValueError(f"max_events = {max_events} is below 1")
+    work = partial(_survey_rows, table, seed=seed, duration=duration, mode=mode,
+                   max_events=max_events, band=tangency_band)
+    ids = range(sample_count)
     if threads > 1 and sample_count > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
 
-        work = partial(_survey_one, table, seed=seed, duration=duration, mode=mode,
-                       max_events=max_events, band=tangency_band)
-        # One chunk per worker: every chunk carries the table, and each fresh
-        # copy rebuilds its flight data.
+        # One batch per worker: every batch carries the table, and each
+        # fresh copy rebuilds its flight data.
+        size = math.ceil(sample_count / threads)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, range(sample_count),
-                                 chunksize=math.ceil(sample_count / threads)))
+            rows = [row for batch in pool.map(work, [ids[i:i + size] for i in range(0, sample_count, size)])
+                    for row in batch]
     else:
-        rows = [
-            _survey_one(table, i, seed=seed, duration=duration, mode=mode,
-                        max_events=max_events, band=tangency_band)
-            for i in range(sample_count)
-        ]
+        rows = work(ids)
     return SurveyResult(rows=tuple(rows), summary=summarize_survey(rows, table, seed=seed,
                                                                    mode=mode,
                                                                    sample_count=sample_count,
                                                                    duration=duration))
 
 
-def _survey_one(table: BilliardTable, sample_id: int, *, seed: int, duration: float,
-                mode: str, max_events: int, band: float) -> SurveyRow:
-    rng = np.random.default_rng([seed, sample_id])
-    try:
-        if mode == GENERIC:
-            x = random_phase_point(table, rng)
-        else:
-            x = _tangency_start(table, rng, band)
-        segment = evolve(x, table, duration, max_events=max_events)
-    except (RuntimeError, StartsInsideScatterer) as exc:
-        return SurveyRow(sample_id=sample_id, seed=seed, n_collisions=0, distinct_cylinders=0,
-                         span_dim=None, codim2_ok=None, full_span=None, neutral_dim=None,
-                         sufficient=None, singular_flag=SAMPLE_ERROR,
-                         error=f"{type(exc).__name__}: {exc}")
-    flag = segment.singular_flag.kind if segment.singular_flag else "none"
-    n = segment.n_events
-    distinct = len(set(segment.symbolic))
-    span_dim = codim2 = full = None
-    neutral_dim = suff = None
-    if n > 0:
-        rich = richness_report(segment.symbolic, table)
-        span_dim, codim2, full = rich.span_dim, rich.codim2_ok, rich.full_span
-    if not is_singular(flag):
-        verdict = sufficiency(segment, table)
-        neutral_dim, suff = verdict.neutral_dim, verdict.sufficient
-    return SurveyRow(sample_id=sample_id, seed=seed, n_collisions=n,
-                     distinct_cylinders=distinct, span_dim=span_dim, codim2_ok=codim2,
-                     full_span=full, neutral_dim=neutral_dim, sufficient=suff,
-                     singular_flag=flag)
+def _survey_rows(table: BilliardTable, sample_ids, *, seed: int, duration: float, mode: str,
+                 max_events: int, band: float) -> list[SurveyRow]:
+    """The survey rows of ``sample_ids``, a lockstep batch at a time: every
+    start drawn from its own stream, the batch evolved together and walked
+    in one grouped sweep. A start that cannot be drawn or evolved becomes
+    that sample's SAMPLE_ERROR row and leaves the others unchanged."""
+    rows: list[SurveyRow] = []
+    richness: dict = {}
+    for part in _lockstep_parts(table, len(sample_ids)):
+        batch = sample_ids[part]
+        rngs = [np.random.default_rng([seed, i]) for i in batch]
+        outcome = _random_starts(table, rngs) if mode == GENERIC else _tangency_starts(table, rngs, band)
+        drawn = [i for i, x in enumerate(outcome) if isinstance(x, PhasePoint)]
+        for i, seg in zip(drawn, evolve_batch([outcome[i] for i in drawn], table, duration, max_events=max_events)):
+            outcome[i] = seg
+        walked = [i for i, seg in enumerate(outcome) if isinstance(seg, OrbitSegment)
+                  and not is_singular(seg.singular_flag and seg.singular_flag.kind)]
+        verdicts = dict(zip(walked, _forward_walks([outcome[i] for i in walked], np.eye(table.dim))))
+        for i, (sample_id, seg) in enumerate(zip(batch, outcome)):
+            verdict = verdicts.get(i)
+            if isinstance(verdict, NotNeutralError):
+                seg = verdict
+            if not isinstance(seg, OrbitSegment):
+                rows.append(SurveyRow(sample_id=sample_id, seed=seed, n_collisions=0, distinct_cylinders=0,
+                                      span_dim=None, codim2_ok=None, full_span=None, neutral_dim=None,
+                                      sufficient=None, singular_flag=SAMPLE_ERROR,
+                                      error=f"{type(seg).__name__}: {seg}"))
+                continue
+            flag = seg.singular_flag.kind if seg.singular_flag else "none"
+            collided = tuple(sorted(set(seg.symbolic)))
+            span_dim = codim2 = full = None
+            if collided:
+                # Richness depends only on the set of cylinders hit.
+                if collided not in richness:
+                    richness[collided] = richness_report(collided, table)
+                rich = richness[collided]
+                span_dim, codim2, full = rich.span_dim, rich.codim2_ok, rich.full_span
+            rows.append(SurveyRow(sample_id=sample_id, seed=seed, n_collisions=seg.n_events,
+                                  distinct_cylinders=len(collided), span_dim=span_dim, codim2_ok=codim2,
+                                  full_span=full, neutral_dim=verdict and verdict.dim,
+                                  sufficient=verdict and verdict.dim == 1, singular_flag=flag))
+    return rows
 
 
-def _tangency_start(table: BilliardTable, rng: np.random.Generator, band: float,
-                    max_tries: int = 200) -> PhasePoint:
-    """Post-collision point on a scatterer boundary with cos(phi) in (0, band)."""
+def _tangency_starts(table: BilliardTable, rngs, band: float, max_tries: int = 200) -> list:
+    """Per generator, a post-collision point on a scatterer boundary with
+    cos(phi) in (0, band), or the RuntimeError of a stream that finds none
+    in ``max_tries`` tries. Each stream is consumed exactly as a lone draw
+    would consume it; every round checks the pending positions with one
+    stacked axis_gaps."""
     ft = flight_table(table)
-    for _ in range(max_tries):
-        idx = int(rng.integers(len(table.cylinders)))
-        cyl = table.cylinders[idx]
-        base_rows = cyl.base_basis
-        radial = rng.normal(size=base_rows.shape[0])
-        radial /= np.linalg.norm(radial)
-        normal = radial @ base_rows
-        q = cyl.translation + cyl.radius * normal
-        gen_basis = np.array(cyl.generator.integer_basis, dtype=float)
-        if gen_basis.size:
-            q = q + rng.random(gen_basis.shape[0]) @ gen_basis
-        q = np.mod(q, 1.0)
-        clear = np.delete(ft.axis_gaps(q)[2] > ft.radius, idx).all()
-        if not clear:
-            continue
-        cos_phi = band * rng.random()
-        tangent = rng.normal(size=table.dim)
-        tangent -= (tangent @ normal) * normal
-        norm = np.linalg.norm(tangent)
-        if norm < 1e-12 or cos_phi <= 0.0:
-            continue
-        v = cos_phi * normal + np.sqrt(1.0 - cos_phi**2) * (tangent / norm)
-        return PhasePoint(q, v)
-    raise RuntimeError("could not sample a clear near-tangency boundary point")
+    starts: list = [None] * len(rngs)
+    tries = [0] * len(rngs)
+    pending = list(range(len(rngs)))
+    while pending:
+        drawn = []
+        for i in pending:
+            rng = rngs[i]
+            idx = int(rng.integers(len(table.cylinders)))
+            cyl = table.cylinders[idx]
+            radial = rng.normal(size=cyl.base_basis.shape[0])
+            radial /= np.linalg.norm(radial)
+            normal = radial @ cyl.base_basis
+            q = cyl.translation + cyl.radius * normal
+            gen_basis = np.array(cyl.generator.integer_basis, dtype=float)
+            if gen_basis.size:
+                q = q + rng.random(gen_basis.shape[0]) @ gen_basis
+            drawn.append((idx, normal, np.mod(q, 1.0)))
+        gaps = ft.axis_distances(np.array([q for _, _, q in drawn])) > ft.radius
+        retry = []
+        for i, (idx, normal, q), clear in zip(pending, drawn, gaps):
+            tries[i] += 1
+            if np.delete(clear, idx).all():
+                rng = rngs[i]
+                cos_phi = band * rng.random()
+                tangent = rng.normal(size=table.dim)
+                tangent -= (tangent @ normal) * normal
+                norm = np.linalg.norm(tangent)
+                if norm >= 1e-12 and cos_phi > 0.0:
+                    starts[i] = PhasePoint(q, cos_phi * normal + np.sqrt(1.0 - cos_phi**2) * (tangent / norm))
+                    continue
+            if tries[i] < max_tries:
+                retry.append(i)
+            else:
+                starts[i] = RuntimeError("could not sample a clear near-tangency boundary point")
+        pending = retry
+    return starts
 
 
 def summarize_survey(rows, table: BilliardTable, **meta) -> dict:

@@ -18,6 +18,7 @@ from cylbilliards import (
     build_table,
     cylinder_distance,
     evolve,
+    evolve_batch,
     next_collision,
     phase_point,
     random_phase_point,
@@ -467,7 +468,7 @@ def reference_evolve(x, table, duration, max_events=10**6):
 
     ft = flight_table(table)
     q = np.array(x.q, dtype=float)
-    v = flow._start_velocity(x, table)
+    v = flow._start_velocities(ft, q[None], np.asarray(x.v, dtype=float)[None])[0][0]
     disp = np.zeros_like(q)
     elapsed = tail = 0.0
     events, flag = [], None
@@ -580,3 +581,94 @@ class TestColumns:
                 assert got is None
                 continue
             assert_same_event(got, reference_event(raw, np.asarray(x.v, dtype=float), 0.0))
+
+
+# ---------------------------------------------------------------------------
+# Lockstep batches: each segment of a batch is the segment of its start alone
+# ---------------------------------------------------------------------------
+
+BATCH_TABLES = ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4", "hs4x2", "skew4"]
+
+
+def _special_starts(name):
+    """Starts whose segments are flagged or empty on this table."""
+    if name == "dense3":
+        # Grazing at once (as in test_tangent), and parallel to the shared
+        # axis, so without any event.
+        return [phase_point([0.5, 0.05, 0.1], [3e-11, 1e-11, 1.0]), phase_point([0.5, 0.05, 0.1], [0.0, 0.0, 1.0])]
+    return []
+
+
+def assert_same_segment(got, want):
+    for name in ("time", "flight", "cylinder_id", "q_hit", "lattice_offset", "normal", "v_pre", "v_post",
+                 "cos_phi", "grazing", "near_double"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert (got.duration, got.tail, got.symbolic) == (want.duration, want.tail, want.symbolic)
+    flag = (lambda s: s.singular_flag and (s.singular_flag.kind, s.singular_flag.event_index))
+    assert flag(got) == flag(want)
+    assert same_bits(got.end.q, want.end.q) and same_bits(got.end.v, want.end.v)
+    assert same_bits(got.end_unwrapped, want.end_unwrapped)
+    assert got.start is want.start
+
+
+class TestBatch:
+    @settings(max_examples=30, deadline=None)
+    # Durations in mean free times, with event budgets; the long ones end on
+    # their budget or a flag.
+    @given(st.sampled_from(BATCH_TABLES), st.integers(0, 2**32 - 1), st.integers(2, 7),
+           st.sampled_from([(0.3, 10**6), (4.0, 3), (25.0, 10**6), (1e12, 1), (1e12, 4)]), st.data())
+    def test_segments_equal_evolve_alone(self, request, name, seed, size, run, data):
+        table = _skew4_table() if name == "skew4" else request.getfixturevalue(name)
+        rng = np.random.default_rng(seed)
+        starts = [random_phase_point(table, rng) for _ in range(size)] + _special_starts(name)
+        starts = data.draw(st.permutations(starts))
+        flights, budget = run
+        duration = flights * {"sinai2": 2.2, "hs4x2": 0.24, "dense3": 0.23}.get(name, 1.2)
+        batch = evolve_batch(starts, table, duration, max_events=budget)
+        assert len(batch) == len(starts)
+        for x, got in zip(starts, batch):
+            assert_same_segment(got, evolve(x, table, duration, max_events=budget))
+
+    def test_flagged_empty_and_truncated_segments_in_one_batch(self, dense3):
+        starts = _special_starts("dense3") + [random_phase_point(dense3, np.random.default_rng(s)) for s in range(4)]
+        batch = evolve_batch(starts, dense3, 1e12, max_events=5)
+        kinds = [seg.singular_flag and seg.singular_flag.kind for seg in batch]
+        assert kinds[0] == "tangential" and batch[1].n_events == 0 and "budget_exceeded" in kinds
+        for x, got in zip(starts, batch):
+            assert_same_segment(got, evolve(x, dense3, 1e12, max_events=5))
+
+    def test_double_event_in_a_batch(self):
+        table = _double_table()
+        starts = [phase_point([0.25, 0.5], [0.0, -1.0]), phase_point([0.1, 0.6], [0.6, 0.8])]
+        batch = evolve_batch(starts, table, 2.0)
+        assert batch[0].singular_flag.kind == "double"
+        for x, got in zip(starts, batch):
+            assert_same_segment(got, evolve(x, table, 2.0))
+
+    def test_batches_cut_to_the_ball_budget(self, ortho3, monkeypatch):
+        from cylbilliards import flow
+
+        starts = [random_phase_point(ortho3, np.random.default_rng([5, i])) for i in range(5)]
+        whole = evolve_batch(starts, ortho3, 20.0)
+        # Two trajectories per lockstep batch, then a lone one.
+        monkeypatch.setattr(flow, "LOCKSTEP_ENTRIES", 2 * flight_table(ortho3).offsets.size)
+        for got, want in zip(evolve_batch(starts, ortho3, 20.0), whole):
+            assert_same_segment(got, want)
+
+    def test_start_inside_leaves_the_others_alone(self, sinai2):
+        inside = phase_point([0.05, 0.0], [1.0, 0.0])
+        good = random_phase_point(sinai2, np.random.default_rng(8))
+        batch = evolve_batch([good, inside, good], sinai2, 10.0)
+        assert isinstance(batch[1], StartsInsideScatterer)
+        assert_same_segment(batch[0], evolve(good, sinai2, 10.0))
+        assert_same_segment(batch[2], evolve(good, sinai2, 10.0))
+        with pytest.raises(StartsInsideScatterer):
+            evolve(inside, sinai2, 10.0)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, sinai2, budget):
+        x = random_phase_point(sinai2, np.random.default_rng(9))
+        with pytest.raises(ValueError, match="max_events"):
+            evolve(x, sinai2, 10.0, max_events=budget)
+        with pytest.raises(ValueError, match="max_events"):
+            evolve_batch([x, x], sinai2, 10.0, max_events=budget)

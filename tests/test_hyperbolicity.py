@@ -166,6 +166,26 @@ class TestForwardWalk:
         assert res.largest_kept_sv < 1e-3
         assert res.smallest_dropped_sv > 1e3
 
+    @pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "dense3", "split4", "hs4x2"])
+    def test_grouped_walk_equals_lone_walk(self, request, name):
+        table = request.getfixturevalue(name)
+        rng = np.random.default_rng(17)
+        segments = [evolve(random_phase_point(table, rng), table, 1e6, max_events=int(n))
+                    for n in rng.integers(1, 40, size=12)]
+        segments = [seg for seg in segments if clean(seg)]
+        segments.append(evolve(phase_point(segments[0].start.q, segments[0].start.v), table, 1e-9))
+        for rows in (np.eye(table.dim), rng.normal(size=(1, table.dim)), segments[0].start.v[None]):
+            for seg, got in zip(segments, hyperbolicity._forward_walks(segments, rows)):
+                try:
+                    want = hyperbolicity._forward_walk(seg, rows)
+                except NotNeutralError as exc:
+                    assert (type(got), got.event_index, got.residual) == (NotNeutralError, exc.event_index,
+                                                                          exc.residual)
+                    continue
+                assert got.basis.tobytes() == want.basis.tobytes() and got.advances == want.advances
+                assert (got.largest_kept_sv, got.smallest_dropped_sv) == (want.largest_kept_sv,
+                                                                          want.smallest_dropped_sv)
+
     def test_dense3_shared_axis_is_neutral(self, dense3):
         seg = _long_segment(dense3, 32)
         res = neutral_space_advance(seg)
@@ -363,12 +383,43 @@ class TestSurvey:
     def test_deterministic_given_seed(self, ortho3):
         a = survey_sufficiency(ortho3, 25, 15.0, seed=5)
         b = survey_sufficiency(ortho3, 25, 15.0, seed=5)
-        assert [r.__dict__ for r in a.rows] == [r.__dict__ for r in b.rows]
+        assert [dataclasses.asdict(r) for r in a.rows] == [dataclasses.asdict(r) for r in b.rows]
 
     def test_threads_match_serial(self, ortho3):
         serial = survey_sufficiency(ortho3, 16, 12.0, seed=9)
-        parallel = survey_sufficiency(ortho3, 16, 12.0, seed=9, threads=2)
-        assert [r.__dict__ for r in serial.rows] == [r.__dict__ for r in parallel.rows]
+        for threads in (2, 3):
+            parallel = survey_sufficiency(ortho3, 16, 12.0, seed=9, threads=threads)
+            assert [dataclasses.asdict(r) for r in serial.rows] == [dataclasses.asdict(r) for r in parallel.rows]
+
+    @pytest.mark.parametrize("mode", ["generic", "ansatz"])
+    def test_rows_are_the_first_rows_of_a_larger_survey(self, skew3, mode):
+        full = survey_sufficiency(skew3, 48, 15.0, seed=23, mode=mode).rows
+        for n in (1, 2, 7, 30):
+            assert [dataclasses.asdict(r) for r in survey_sufficiency(skew3, n, 15.0, seed=23, mode=mode).rows] == \
+                [dataclasses.asdict(r) for r in full[:n]]
+
+    @pytest.mark.parametrize("mode", ["generic", "ansatz"])
+    def test_rows_equal_per_sample_reference(self, ortho3, mode):
+        rows = survey_sufficiency(ortho3, 24, 15.0, seed=29, mode=mode, max_events=12).rows
+        for row in rows:
+            rng = np.random.default_rng([29, row.sample_id])
+            x = random_phase_point(ortho3, rng) if mode == "generic" else \
+                hyperbolicity._tangency_starts(ortho3, [rng], hyperbolicity.TANGENCY_BAND)[0]
+            seg = evolve(x, ortho3, 15.0, max_events=12)
+            assert row.n_collisions == seg.n_events
+            assert row.singular_flag == (seg.singular_flag.kind if seg.singular_flag else "none")
+            assert row.distinct_cylinders == len(set(seg.symbolic))
+            if seg.n_events:
+                assert row.span_dim == richness_report(seg.symbolic, ortho3).span_dim
+            if clean(seg):
+                verdict = sufficiency(seg)
+                assert (row.neutral_dim, row.sufficient) == (verdict.neutral_dim, verdict.sufficient)
+
+    @pytest.mark.parametrize("change", [dict(max_events=0), dict(sample_count=-1), dict(mode="bogus")])
+    def test_bad_arguments_rejected(self, ortho3, change):
+        args = dict(sample_count=4, duration=5.0, seed=1) | change
+        with pytest.raises(ValueError):
+            survey_sufficiency(ortho3, **args)
 
     def test_non_transitive_split_table(self, split4):
         # Base planes are orthogonal complements: two-cylinder orbits span
@@ -408,23 +459,27 @@ class TestSurvey:
         assert result.summary["n_nonsingular"] == 6
 
     def test_failed_samples_are_discarded_not_fatal(self, ortho3, monkeypatch):
-        real_start, real_evolve = hyperbolicity._tangency_start, hyperbolicity.evolve
+        real_starts, real_evolve = hyperbolicity._tangency_starts, hyperbolicity.evolve_batch
         calls = {"start": 0, "evolve": 0}
 
-        def flaky_start(*args, **kwargs):
-            calls["start"] += 1
-            if calls["start"] % 3 == 0:
-                raise RuntimeError("could not sample a clear near-tangency boundary point")
-            return real_start(*args, **kwargs)
+        def flaky_starts(*args, **kwargs):
+            starts = real_starts(*args, **kwargs)
+            for i in range(len(starts)):
+                calls["start"] += 1
+                if calls["start"] % 3 == 0:
+                    starts[i] = RuntimeError("could not sample a clear near-tangency boundary point")
+            return starts
 
         def flaky_evolve(*args, **kwargs):
-            calls["evolve"] += 1
-            if calls["evolve"] % 4 == 0:
-                raise StartsInsideScatterer("start point is inside cylinder 1")
-            return real_evolve(*args, **kwargs)
+            segments = real_evolve(*args, **kwargs)
+            for i in range(len(segments)):
+                calls["evolve"] += 1
+                if calls["evolve"] % 4 == 0:
+                    segments[i] = StartsInsideScatterer("start point is inside cylinder 1")
+            return segments
 
-        monkeypatch.setattr(hyperbolicity, "_tangency_start", flaky_start)
-        monkeypatch.setattr(hyperbolicity, "evolve", flaky_evolve)
+        monkeypatch.setattr(hyperbolicity, "_tangency_starts", flaky_starts)
+        monkeypatch.setattr(hyperbolicity, "evolve_batch", flaky_evolve)
         result = survey_sufficiency(ortho3, 12, 10.0, seed=4, mode="ansatz")
         errors = [r for r in result.rows if r.singular_flag == "error"]
         assert [r.sample_id for r in result.rows] == list(range(12))

@@ -282,6 +282,12 @@ class TestCli:
         ("lyapunov", {"seed": 1, "renorm_interval": "often"}, "renorm_interval"),
         ("survey", {"seed": "lucky"}, "seed"),
         ("survey", {"seed": 1, "samples": "many"}, "samples"),
+        ("survey", {"seed": 1, "samples": -3}, "samples"),
+        ("survey", {"seed": 1, "samples": 2, "mode": "bogus"}, "mode"),
+        ("survey", {"seed": 1, "samples": 2, "max_events": 0}, "max_events"),
+        ("simulate", {"start": {"q": [0.5, 0.1], "v": [0.6, 0.8]}, "max_events": 0}, "max_events"),
+        ("sufficiency", {"start": {"q": [0.5, 0.1], "v": [0.6, 0.8]}, "max_events": -2}, "max_events"),
+        ("lyapunov", {"seed": 1, "max_events": 0}, "max_events"),
     ])
     def test_bad_scenario_value_exit_3_names_field(self, tmp_path, capsys, command, extra, field):
         disc = {"dimension": 2, "cylinders": [{"generator": [], "translation": [0.0, 0.0], "radius": 0.2}]}
@@ -289,6 +295,33 @@ class TestCli:
         path.write_text(json.dumps({"table": disc, **extra}))
         assert main([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 3
         assert json.loads(capsys.readouterr().err)["field"] == field
+
+    def test_consecutive_calls_share_one_parser(self, tmp_path, capsys, monkeypatch):
+        from cylbilliards import cli
+
+        runs = [["analyze"], ["simulate", "--seed", "3"], ["--version"], ["survey", "--threads", "2"],
+                ["simulate", "--seed", "4"], ["survey", "--seed", "5"], ["frobnicate"], ["sufficiency"]]
+        scen = _write_scenario(tmp_path, "s.json", {"seed": 2, "samples": 3, "duration": 6.0})
+
+        def session(tag):
+            outputs = []
+            for i, run in enumerate(runs):
+                argv = run if run[0].startswith("--") else run + ["--scenario", scen, "--out",
+                                                                    str(tmp_path / tag / str(i))]
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                files = sorted((p.name, p.read_bytes()) for p in (tmp_path / tag / str(i)).glob("*"))
+                outputs.append((code, capsys.readouterr(), files))
+            return outputs
+
+        cached = session("cached")
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert session("fresh") == cached
+        assert [code for code, _, _ in cached] == [0, 0, 0, 0, 0, 0, 2, 0]
+        assert cached[2][1].out.strip() == __version__
 
     def test_validation_failure_exit_2(self, tmp_path, capsys):
         path = tmp_path / "big.json"
