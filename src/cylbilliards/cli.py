@@ -221,7 +221,9 @@ def cmd_lyapunov(scenario: Scenario, args) -> int:
     if scenario.get("start") is not None:
         start = _resolve_start(scenario, args)
     duration = _number(scenario, "duration", 1000.0)
-    renorm = _number(scenario, "renorm_interval", 5, int)
+    if not duration > 0:
+        raise TableFormatError("duration", "must be positive")
+    renorm = _number(scenario, "renorm_interval", 5, int, least=1)
     meta = {"scenario_hash": scenario.scenario_hash, "renorm_interval": renorm}
     try:
         report = lyapunov_spectrum(start, scenario.table, duration,

@@ -13,11 +13,11 @@ answers the start checks: one rounding and a minimum over each ball gives
 the distance from a point to every cylinder's nearest axis translate.
 
 Many trajectories run in lockstep: one pass takes one window or one hit of
-every trajectory still in flight, with candidates laid out as padded
-(trajectories, rows, M) blocks. Each coordinate-mixing product is one BLAS
-call per trajectory, or per row, of exactly the shape the one-trajectory
-loop uses, so a trajectory computes the same bits in any batch as alone. A
-lone trajectory runs the plain loop, whose per-call cost is lower.
+every trajectory still in flight, each with a slot of tube rows in one state
+updated in place. Each coordinate-mixing product is one BLAS call per
+trajectory, or per row, of exactly the shape the one-trajectory loop uses,
+so a trajectory computes the same bits in any batch as alone. A lone
+trajectory runs the plain loop, whose per-call cost is lower.
 
 A segment stores its events as columns. The flight loop keeps per hit only
 what the next flight needs; times, lattice offsets and the covering-space
@@ -404,13 +404,13 @@ def _hit_arrays(hits: list, d: int, size: int) -> dict:
 def next_collision(x: PhasePoint, table: BilliardTable, t_max: float) -> CollisionEvent | None:
     """First collision of the flight starting at x, searched up to t_max.
 
-    Raises StartsInsideScatterer when x sits strictly inside a cylinder.
-    Grazing and near-double candidates are flagged inside the returned event.
+    Raises StartsInsideScatterer when x sits strictly inside a cylinder. A
+    start on a scatterer with inward radial velocity is reflected first, as
+    in ``evolve``, whose first event this is. Grazing and near-double
+    candidates are flagged inside the returned event.
     """
     ft = flight_table(table)
-    v = np.asarray(x.v, dtype=float)
-    # Only for its check: the flight keeps x.v.
-    error = _start_velocities(ft, np.asarray(x.q, dtype=float)[None], v[None])[1][0]
+    (v,), (error,) = _start_velocities(ft, np.asarray(x.q, dtype=float)[None], np.asarray(x.v, dtype=float)[None])
     if error is not None:
         raise error
     raw = _first_collision(x.q, v, ft, t_max)
@@ -556,35 +556,10 @@ def _trajectory(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float,
 # The lockstep kernel
 # ---------------------------------------------------------------------------
 
-# The kernel's per-trajectory state, and the candidate rows of each flight,
-# padded to a common width with pad rows, which never hit: no product is
-# taken over them, so their b is 0.
-_STATE = ("ids", "q0", "q", "v", "uc", "base", "left", "elapsed", "count", "window", "n_rows")
-_ROWS = ("rows", "r_sq", "a_row")
-
-
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-by-row dot products of a and b (n, d), each the one-dimensional
     ``a[i] @ b[i]``."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _take(state: dict, at) -> dict:
-    return {name: arr[at] for name, arr in state.items()}
-
-
-def _merge(a: dict, b: dict) -> dict:
-    """Two groups of trajectories as one, the rows of the narrower padded."""
-    width = max(a["rows"].shape[1], b["rows"].shape[1])
-    out = {name: np.concatenate([a[name], b[name]]) for name in _STATE}
-    for name in _ROWS:
-        parts = []
-        for arr in (a[name], b[name]):
-            if arr.shape[1] < width:
-                arr = np.concatenate([arr, np.zeros((len(arr), width - arr.shape[1]), dtype=arr.dtype)], axis=1)
-            parts.append(arr)
-        out[name] = np.concatenate(parts)
-    return out
 
 
 def _tubes(ft: _FlightTable, v: np.ndarray) -> dict:
@@ -614,11 +589,16 @@ def _lockstep(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float, m
     flight loop of ``_trajectory`` with every trajectory's arithmetic
     unchanged.
 
-    Each pass takes one window of every trajectory still in flight. One with
-    a root inside its window records the hit and, unless the hit is flagged
-    or the budget is spent, starts its next flight; one without moves to its
-    next window, and its flight ends when the windows reach the remaining
-    time.
+    The trajectories in flight share one state, a dict of per-trajectory
+    arrays updated in place; each owns a slot of N tube rows (N the rows of
+    the stacked ball), of which its flight uses the first ``n_rows``. Each
+    pass takes one window of every trajectory in the state. One with a root
+    inside its window records the hit and, unless the hit is flagged or the
+    budget is spent, writes its next tube into its slot; one without moves
+    its own window on, and its flight ends when the windows reach the
+    remaining time. Trajectories whose runs end leave in one compaction per
+    pass. Slot rows past ``n_rows`` may be left from an earlier, wider tube:
+    no product is taken over them, so their b is 0 and they never hit.
 
     Returns the per-hit arrays of all trajectories (``_HITS``; ``ids`` names
     the trajectory), ordered by trajectory and then time, and per
@@ -631,50 +611,57 @@ def _lockstep(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float, m
     counts = np.zeros(n_traj, dtype=int)
     flags: list[SingularFlag | None] = [None] * n_traj
     hits = []
+    # The slots start as pad rows (row 0); take_off fills everything else.
+    n_ball = len(ft.offsets)
+    st = dict(ids=np.arange(n_traj), q0=np.empty_like(q), q=np.empty_like(q), v=np.empty_like(v),
+              uc=np.empty((n_traj, len(ft.onb))), base=np.empty(n_traj), elapsed=np.empty(n_traj),
+              window=np.empty(n_traj), n_rows=np.empty(n_traj, dtype=int),
+              rows=np.zeros((n_traj, n_ball), dtype=int), r_sq=np.zeros((n_traj, n_ball)),
+              a_row=np.zeros((n_traj, n_ball)))
 
-    def land(st: dict, over) -> None:
-        """Flights that end free: the tail is all the time left, flown from
-        the flight's start."""
-        ids, left, v_o = st["ids"][over], st["left"][over], st["v"][over]
-        end_q[ids] = np.mod(st["q0"][over] + left[:, None] * v_o, 1.0)
-        end_v[ids], tail[ids], elapsed[ids], counts[ids] = v_o, left, duration, st["count"][over]
-
-    def take_off(ids, q0, v0, time, count) -> list:
-        """New flights, as a list of at most one state; a flight that keeps
-        no candidate row lands at once."""
-        st = _tubes(ft, v0)
-        st.update(ids=ids, q0=q0, q=q0, v=v0, base=np.zeros(len(ids)), left=duration - time, elapsed=time,
-                  count=count)
-        idle = st["n_rows"] == 0
-        if idle.any():
-            land(st, idle)
-            st = _take(st, (~idle).nonzero()[0])
-        return [st] if len(st["ids"]) else []
+    def take_off(at, q0, v0, time) -> None:
+        """New flights from q0 with velocities v0, ``time`` into the run, in
+        the slots ``at`` (indices, or a slice for all). A flight without
+        candidate rows never hits: its windows run out its time."""
+        tube = _tubes(ft, v0)
+        width = tube["rows"].shape[1]
+        for name in ("rows", "r_sq", "a_row"):
+            st[name][at, :width] = tube.pop(name)
+        for name, col in dict(tube, q0=q0, q=q0, v=v0, base=0.0, elapsed=time).items():
+            st[name][at] = col
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        parts = take_off(np.arange(n_traj), q, v, np.zeros(n_traj), np.zeros(n_traj, dtype=int)) \
-            if duration > 0 and n_traj else []
-        while parts:
-            st = parts[0] if len(parts) == 1 else _merge(*parts)
-            parts = []
+        leave = np.full(n_traj, duration <= 0)
+        if duration > 0 and n_traj:
+            take_off(slice(None), q, v, 0.0)
+        while True:
+            if leave.any():
+                st = {name: arr[~leave] for name, arr in st.items()}
             n_live = len(st["ids"])
-            w = np.minimum(st["window"], st["left"] - st["base"])
+            if not n_live:
+                break
+            leave = np.zeros(n_live, dtype=bool)
+            # The widest live tube; narrower ones end in pad or leftover rows.
+            width = int(st["n_rows"].max())
+            rows, uc = st["rows"][:, :width], st["uc"]
+            left = duration - st["elapsed"]
+            w = np.minimum(st["window"], left - st["base"])
             lam0, e = babai_round((ft.onb @ st["q"][:, :, None])[:, None, :, 0] - ft.shift, ft.basis, ft.basis_inv)
             # Each candidate's position relative to its axis translate.
-            rel = ft.mask[st["rows"]] * e - ft.offsets[st["rows"]]
+            rel = ft.mask[rows] * e - ft.offsets[rows]
             # One matrix-vector product per trajectory over its own rows, as
             # in the one-trajectory loop.
-            b = np.zeros(st["r_sq"].shape)
+            b = np.zeros((n_live, width))
             for i, n in enumerate(st["n_rows"].tolist()):
-                np.matmul(rel[i, :n], st["uc"][i], out=b[i, :n])
-            gamma = np.add.reduce(rel * rel, axis=2) - st["r_sq"]
-            bb, ag = b * b, st["a_row"] * gamma
+                np.matmul(rel[i, :n], uc[i], out=b[i, :n])
+            gamma = np.add.reduce(rel * rel, axis=2) - st["r_sq"][:, :width]
+            bb, ag = b * b, st["a_row"][:, :width] * gamma
             disc = bb - ag
             # Discriminants within rounding noise of zero are exact
             # tangencies: the chord is numerically unresolvable, so no event
             # is generated.
             hit = (disc > 1e-14 * (bb + np.abs(ag))) & (b < 0.0)
-            h = ()
+            got = np.zeros(n_live, dtype=bool)
             if hit.any():
                 # Stable smaller root of a s^2 + 2 b s + gamma = 0.
                 s = gamma / (np.sqrt(disc) - b)
@@ -686,12 +673,12 @@ def _lockstep(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float, m
                 j = s.argmin(axis=1)
                 s_min = s[np.arange(n_live), j]
                 got = s_min <= w
-                h = got.nonzero()[0]
+            h = got.nonzero()[0]
             if len(h):
                 j, s_h, ids = j[h], s_min[h], st["ids"][h]
-                row = st["rows"][h, j]
+                row = rows[h, j]
                 k = ft.cid[row]
-                moved = rel[h, j] + s_h[:, None] * st["uc"][h]
+                moved = rel[h, j] + s_h[:, None] * uc[h]
                 radial = np.empty((len(h), d))
                 for c in set(k.tolist()):
                     at, blk = (k == c).nonzero()[0], ft.blocks[c]
@@ -707,15 +694,17 @@ def _lockstep(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float, m
                 v_post = v_pre - (2.0 * vn)[:, None] * normal
                 near_double = np.count_nonzero(s[h] <= (s_h + EPS_DOUBLE)[:, None], axis=1) > 1
                 cos_phi = -vn
-                count = st["count"][h] + 1
+                # counts keeps every trajectory's number of hits so far.
+                count = counts[ids] = counts[ids] + 1
                 hits.append((flight, k, q_hit, shift, lam0[h, 0] + ft.offsets[row], normal, cos_phi, v_post,
                              near_double, v_pre, ids, count))
                 flagged = (cos_phi < EPS_TANG) | near_double
                 go = (count < max_events) & (time < duration) & ~flagged
+                at = h
                 if not go.all():
                     done = (~go).nonzero()[0]
                     ids_d = ids[done]
-                    end_q[ids_d], elapsed[ids_d], counts[ids_d] = q_hit[done], time[done], count[done]
+                    end_q[ids_d], elapsed[ids_d] = q_hit[done], time[done]
                     # A tangential or double hit keeps the incoming velocity.
                     end_v[ids_d] = np.where(flagged[done, None], v_pre[done], v_post[done])
                     for i in done.tolist():
@@ -723,25 +712,25 @@ def _lockstep(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float, m
                             BUDGET_EXCEEDED if time[i] < duration else None
                         if kind:
                             flags[int(ids[i])] = SingularFlag(kind, int(count[i]) - 1)
-                    go = go.nonzero()[0]
-                    ids, q_hit, v_post, time, count = ids[go], q_hit[go], v_post[go], time[go], count[go]
-                if len(ids):
-                    parts += take_off(ids, q_hit, v_post, time, count)
+                    leave[h[done]] = True
+                    at, q_hit, v_post, time = h[go], q_hit[go], v_post[go], time[go]
+                if len(at):
+                    # A slice writes faster than indices when all fly on.
+                    take_off(at if len(at) < n_live else slice(None), q_hit, v_post, time)
             if len(h) < n_live:
-                rest = st
-                if len(h):
-                    missed = (~got).nonzero()[0]
-                    rest, w = _take(st, missed), w[missed]
                 # Overlap consecutive windows so a root within MIN_FLIGHT of
                 # the boundary cannot be skipped by the minimum-flight guard.
                 step = np.where(w <= 2e-10, w, w - 1e-10)
-                rest = dict(rest, q=np.mod(rest["q"] + step[:, None] * rest["v"], 1.0), base=rest["base"] + step)
-                over = rest["base"] >= rest["left"] - 1e-15
-                if over.any():
-                    land(rest, over)
-                    rest = _take(rest, (~over).nonzero()[0])
-                if len(rest["ids"]):
-                    parts.append(rest)
+                np.copyto(st["q"], np.mod(st["q"] + step[:, None] * st["v"], 1.0), where=~got[:, None])
+                np.copyto(st["base"], st["base"] + step, where=~got)
+                over = (~got & (st["base"] >= left - 1e-15)).nonzero()[0]
+                if len(over):
+                    # These flights end free: the tail is all the time left,
+                    # flown from the flight's start.
+                    ids, t_o, v_o = st["ids"][over], left[over], st["v"][over]
+                    end_q[ids] = np.mod(st["q0"][over] + t_o[:, None] * v_o, 1.0)
+                    end_v[ids], tail[ids], elapsed[ids] = v_o, t_o, duration
+                    leave[over] = True
 
     if not hits:
         return _hit_arrays([], d, len(ft.onb)), counts.tolist(), end_q, end_v, tail, elapsed, flags

@@ -266,7 +266,12 @@ def lyapunov_spectrum(x: PhasePoint | None, table: BilliardTable, duration: floa
     A singularity or event-budget flag aborts with ``SingularityEncountered``
     carrying the partial report. A tangential or double event has no
     derivative, so transport stops just before it, after the flight into it.
+    Raises ValueError unless duration > 0 and renorm_interval >= 1.
     """
+    if not duration > 0:
+        raise ValueError(f"duration = {duration} is not positive")
+    if renorm_interval < 1:
+        raise ValueError(f"renorm_interval = {renorm_interval} is below 1")
     if x is None:
         x = random_phase_point(table, np.random.default_rng([seed, 0x5eed]))
     segment = evolve(x, table, duration, max_events=max_events)

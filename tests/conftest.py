@@ -89,6 +89,26 @@ def tori_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.minimum(diff, 1.0 - diff)))
 
 
+def subspace_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
+    """Largest principal angle between equal-dimension row-orthonormal bases.
+
+    Sine-based (residual after projecting one basis onto the other), so tiny
+    angles are resolved to machine precision instead of the sqrt(eps) floor
+    of the arccos formulation.
+    """
+    if basis_a.shape[0] != basis_b.shape[0]:
+        return float(np.pi / 2)
+    if basis_a.shape[0] == 0:
+        return 0.0
+    res_b = basis_b - (basis_b @ basis_a.T) @ basis_a
+    res_a = basis_a - (basis_a @ basis_b.T) @ basis_b
+    gap = max(
+        float(np.linalg.svd(res_b, compute_uv=False).max()),
+        float(np.linalg.svd(res_a, compute_uv=False).max()),
+    )
+    return float(np.arcsin(min(1.0, gap)))
+
+
 def clean(segment) -> bool:
     """Segment usable for analysis: no tangential/double flag."""
     return segment.singular_flag is None or segment.singular_flag.kind == "budget_exceeded"

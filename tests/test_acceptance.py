@@ -32,13 +32,12 @@ from cylbilliards import (
     validate_table,
     TangentVector,
 )
-from cylbilliards.linalg import subspace_angle
-
 from conftest import (
     clean,
     exhaustive_splitting_oracle,
     flow_map,
     segment_with_events,
+    subspace_angle,
     tori_distance,
 )
 

@@ -80,6 +80,27 @@ class TestNextCollision:
         with pytest.raises(StartsInsideScatterer):
             next_collision(phase_point([0.05, 0.0], [1.0, 0.0]), sinai2, 1.0)
 
+    @pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "dense3", "hs4x2", "skew4"])
+    def test_equals_first_event_of_evolve(self, request, name):
+        table = _skew4_table() if name == "skew4" else request.getfixturevalue(name)
+        rng = np.random.default_rng(72)
+        starts = [random_phase_point(table, rng) for _ in range(8)]
+        # Boundary starts with inward radial velocity, which are reflected
+        # before they fly: the incoming state of each collision of an orbit.
+        seg = evolve(starts[0], table, 1e9, max_events=4)
+        starts += [PhasePoint(q, v) for q, v in zip(seg.q_hit, seg.v_pre)]
+        if name == "sinai2":
+            # Flown unreflected, this one crossed the disc to t = 3.156.
+            starts.append(phase_point([0.2, 0.0], [-1.0, 0.3]))
+            assert next_collision(starts[-1], table, 10.0).time == pytest.approx(2.8407556, abs=1e-6)
+        for x in starts:
+            got = next_collision(x, table, 30.0)
+            first = evolve(x, table, 30.0, max_events=1)
+            if first.n_events == 0:
+                assert got is None
+            else:
+                assert_same_event(got, first.events[0])
+
     def test_event_invariants(self, ortho3):
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -644,6 +665,19 @@ class TestBatch:
         assert batch[0].singular_flag.kind == "double"
         for x, got in zip(starts, batch):
             assert_same_segment(got, evolve(x, table, 2.0))
+
+    def test_narrowed_tubes_keep_their_bits(self):
+        # One lockstep batch of 8 on skew4. Its tubes widen and narrow from
+        # flight to flight, so passes run with rows of an earlier, wider tube
+        # left in a trajectory's slot past its own rows (21 times in this
+        # batch, counted when the test was written); they must never hit.
+        table = _skew4_table()
+        rng = np.random.default_rng(0)
+        starts = [random_phase_point(table, rng) for _ in range(8)]
+        batch = evolve_batch(starts, table, 20.0)
+        assert sum(seg.n_events for seg in batch) == 44
+        for x, got in zip(starts, batch):
+            assert_same_segment(got, evolve(x, table, 20.0))
 
     def test_batches_cut_to_the_ball_budget(self, ortho3, monkeypatch):
         from cylbilliards import flow

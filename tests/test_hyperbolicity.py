@@ -26,9 +26,9 @@ from cylbilliards import (
     survey_sufficiency,
 )
 from cylbilliards import StartsInsideScatterer, build_cylinder, build_table, hyperbolicity, validate_table
-from cylbilliards.linalg import rational_rank, subspace_angle
+from cylbilliards.linalg import rational_rank
 
-from conftest import clean, segment_with_events
+from conftest import clean, segment_with_events, subspace_angle
 
 
 class TestNeutralSpaceAdvance:

@@ -288,6 +288,10 @@ class TestCli:
         ("simulate", {"start": {"q": [0.5, 0.1], "v": [0.6, 0.8]}, "max_events": 0}, "max_events"),
         ("sufficiency", {"start": {"q": [0.5, 0.1], "v": [0.6, 0.8]}, "max_events": -2}, "max_events"),
         ("lyapunov", {"seed": 1, "max_events": 0}, "max_events"),
+        ("lyapunov", {"seed": 1, "duration": 0}, "duration"),
+        ("lyapunov", {"seed": 1, "duration": -5.0}, "duration"),
+        ("lyapunov", {"seed": 1, "renorm_interval": 0}, "renorm_interval"),
+        ("lyapunov", {"seed": 1, "renorm_interval": -3}, "renorm_interval"),
     ])
     def test_bad_scenario_value_exit_3_names_field(self, tmp_path, capsys, command, extra, field):
         disc = {"dimension": 2, "cylinders": [{"generator": [], "translation": [0.0, 0.0], "radius": 0.2}]}

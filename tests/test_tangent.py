@@ -338,6 +338,16 @@ class TestLyapunov:
         b = lyapunov_spectrum(None, sinai2, 200.0, seed=5)
         assert a.exponents == b.exponents
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0, float("nan")])
+    def test_duration_not_positive_rejected(self, sinai2, duration):
+        with pytest.raises(ValueError, match="duration"):
+            lyapunov_spectrum(None, sinai2, duration, seed=0)
+
+    @pytest.mark.parametrize("interval", [0, -3])
+    def test_renorm_interval_below_one_rejected(self, sinai2, interval):
+        with pytest.raises(ValueError, match="renorm_interval"):
+            lyapunov_spectrum(None, sinai2, 50.0, renorm_interval=interval, seed=0)
+
     def test_singularity_aborts_with_partial_report(self, sinai2):
         x = phase_point([0.51, 0.33], [0.6, 0.8])
         with pytest.raises(SingularityEncountered) as err:
