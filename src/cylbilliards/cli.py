@@ -162,7 +162,7 @@ def cmd_analyze(scenario: Scenario, args) -> int:
 
 def _evolve_from_scenario(scenario: Scenario, args) -> tuple:
     start = _resolve_start(scenario, args)
-    duration = _number(scenario, "duration", 100.0)
+    duration = _number(scenario, "duration", 100.0, least=0)
     max_events = _number(scenario, "max_events", 10**6, int, least=1)
     segment = evolve(start, scenario.table, duration, max_events=max_events)
     return start, segment
@@ -248,7 +248,7 @@ def cmd_survey(scenario: Scenario, args) -> int:
     result = survey_sufficiency(
         scenario.table,
         sample_count=_number(scenario, "samples", 100, int, least=0),
-        duration=_number(scenario, "duration", 50.0),
+        duration=_number(scenario, "duration", 50.0, least=0),
         seed=seed,
         mode=mode,
         max_events=_number(scenario, "max_events", 10_000, int, least=1),

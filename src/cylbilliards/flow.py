@@ -19,9 +19,11 @@ trajectory, or per row, of exactly the shape the one-trajectory loop uses,
 so a trajectory computes the same bits in any batch as alone. A lone
 trajectory runs the plain loop, whose per-call cost is lower.
 
-A segment stores its events as columns. The flight loop keeps per hit only
-what the next flight needs; times, lattice offsets and the covering-space
-endpoint are finished once per batch with array operations.
+A segment stores its events as columns. Both flight loops stop a run at a
+tangential or double hit, at the event budget or at the end of the duration,
+and return only their per-hit arrays and each trajectory's hit count. Times,
+lattice offsets, the flag, the end state, the tail and the covering-space
+endpoint are then worked out once per batch from the columns.
 """
 
 from __future__ import annotations
@@ -383,22 +385,20 @@ def _finish(ft: _FlightTable, hits: dict) -> dict:
 
 
 # The per-hit arrays both flight loops return, in ``_hit`` order, then the
-# incoming velocity and the trajectory.
+# incoming velocity.
 _HITS = ("flight", "cylinder_id", "q_hit", "shift", "lam", "normal", "cos_phi", "v_post", "near_double",
-         "v_pre", "ids")
+         "v_pre")
 
 
 def _hit_arrays(hits: list, d: int, size: int) -> dict:
     """Per-hit tuples (as from ``_hit``, then v_pre) as arrays of one
     trajectory."""
     n = len(hits)
-    cols = zip(*hits) if n else [()] * (len(_HITS) - 1)
+    cols = zip(*hits) if n else [()] * len(_HITS)
     kinds = (float, int, float, float, float, float, float, float, bool, float)
     widths = (0, 0, d, d, size, d, 0, d, 0, d)
-    out = {name: np.array(c, dtype=kind).reshape((n, w) if w else n)
-           for name, c, kind, w in zip(_HITS, cols, kinds, widths)}
-    out["ids"] = np.zeros(n, dtype=int)
-    return out
+    return {name: np.array(c, dtype=kind).reshape((n, w) if w else n)
+            for name, c, kind, w in zip(_HITS, cols, kinds, widths)}
 
 
 def next_collision(x: PhasePoint, table: BilliardTable, t_max: float) -> CollisionEvent | None:
@@ -410,13 +410,14 @@ def next_collision(x: PhasePoint, table: BilliardTable, t_max: float) -> Collisi
     candidates are flagged inside the returned event.
     """
     ft = flight_table(table)
-    (v,), (error,) = _start_velocities(ft, np.asarray(x.q, dtype=float)[None], np.asarray(x.v, dtype=float)[None])
+    q = np.asarray(x.q, dtype=float)[None]
+    v, (error,) = _start_velocities(ft, q, np.asarray(x.v, dtype=float)[None])
     if error is not None:
         raise error
-    raw = _first_collision(x.q, v, ft, t_max)
-    if raw is None:
+    hits, (n,) = _trajectory(ft, q, v, t_max, 1)
+    if not n:
         return None
-    cols = _finish(ft, _hit_arrays([_hit(raw, v) + (v,)], table.dim, len(ft.onb)))
+    cols = _finish(ft, hits)
     return _event_rows(table, dict(time=cols["flight"], **cols))[0]
 
 
@@ -457,7 +458,8 @@ def evolve(x: PhasePoint, table: BilliardTable, duration: float,
     The segment is truncated at the first flagged singularity (tangential or
     double) or when max_events is reached; the flag records which. Positions
     are re-reduced to [0,1)^d after every flight, and the covering-space
-    endpoint is tracked separately for derivative checks.
+    endpoint is tracked separately for derivative checks. Raises ValueError
+    unless duration >= 0 and max_events >= 1.
     """
     (segment,) = evolve_batch([x], table, duration, max_events)
     if isinstance(segment, StartsInsideScatterer):
@@ -476,6 +478,8 @@ def evolve_batch(starts, table: BilliardTable, duration: float,
     """
     if max_events < 1:
         raise ValueError(f"max_events = {max_events} is below 1")
+    if not duration >= 0:
+        raise ValueError(f"duration = {duration} is not >= 0")
     starts = list(starts)
     for x in starts:
         speed = float(np.linalg.norm(x.v))
@@ -492,20 +496,35 @@ def evolve_batch(starts, table: BilliardTable, duration: float,
     for part in _lockstep_parts(table, len(run)):
         batch = run[part]
         kernel = _trajectory if len(batch) == 1 else _lockstep
-        hits, counts, end_q, end_v, tail, elapsed, flags = kernel(ft, q[batch], v[batch], duration, max_events)
+        hits, counts = kernel(ft, q[batch], v[batch], duration, max_events)
         cols = _finish(ft, hits)
         steps = cols["flight"][:, None] * cols["v_pre"]
         begin = 0
-        for t, (i, n) in enumerate(zip(batch, counts)):
+        for i, n in zip(batch, counts):
             at = slice(begin, begin + n)
             begin += n
             time = np.cumsum(cols["flight"][at])
             time.flags.writeable = False
+            # How the run ended: at a flagged hit, on its budget, at a hit
+            # exactly at its end, or in free flight for the time left.
+            kind, end_q, end_v, elapsed = None, q[i], v[i], 0.0
+            if n:
+                last = begin - 1
+                elapsed, end_q = float(time[-1]), cols["q_hit"][last]
+                kind = TANGENTIAL if cols["grazing"][last] else DOUBLE if cols["near_double"][last] else \
+                    BUDGET_EXCEEDED if n == max_events and elapsed < duration else None
+                # A tangential or double hit keeps the incoming velocity.
+                end_v = cols["v_pre" if is_singular(kind) else "v_post"][last]
+            tail = 0.0
+            if kind is None and elapsed < duration:
+                tail, elapsed = float(duration) - elapsed, float(duration)
+                end_q = np.mod(end_q + tail * end_v, 1.0)
             # The covering-space displacement, summed flight by flight in order.
-            unwrapped = q[i] + np.cumsum(np.concatenate([zero, steps[at], tail[t] * end_v[t:t + 1]]), axis=0)[-1]
-            out[i] = OrbitSegment(start=starts[i], duration=float(elapsed[t]), tail=float(tail[t]), time=time,
-                                  **{name: col[at] for name, col in cols.items()}, singular_flag=flags[t],
-                                  end=PhasePoint(end_q[t], end_v[t]), end_unwrapped=unwrapped, table=table)
+            unwrapped = q[i] + np.cumsum(np.concatenate([zero, steps[at], tail * end_v[None]]), axis=0)[-1]
+            out[i] = OrbitSegment(start=starts[i], duration=elapsed, tail=tail, time=time,
+                                  **{name: col[at] for name, col in cols.items()},
+                                  singular_flag=SingularFlag(kind, n - 1) if kind else None,
+                                  end=PhasePoint(end_q, end_v), end_unwrapped=unwrapped, table=table)
     return out
 
 
@@ -520,36 +539,23 @@ def _lockstep_parts(table: BilliardTable, count: int) -> list[slice]:
 def _trajectory(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float, max_events: int):
     """``_lockstep`` for one trajectory (q, v) (1, d), as a plain flight
     loop: alone, a trajectory's array bookkeeping in the lockstep costs more
-    than its flights. Same arithmetic, same returns."""
+    than its flights. Same arithmetic, same stops, same returns: the per-hit
+    arrays and the hit count."""
     q, v = q[0], v[0]
-    elapsed = tail = 0.0
-    hits, flag = [], None
-    while True:
-        remaining = duration - elapsed
-        if remaining <= 0:
-            break
-        raw = _first_collision(q, v, ft, remaining)
+    elapsed = 0.0
+    hits = []
+    while elapsed < duration and len(hits) < max_events:
+        raw = _first_collision(q, v, ft, duration - elapsed)
         if raw is None:
-            tail = remaining
-            q = np.mod(q + tail * v, 1.0)
-            elapsed = duration
             break
         hit = _hit(raw, v)
         flight, _, q, _, _, _, cos_phi, v_post, near_double = hit
         hits.append(hit + (v,))
+        if cos_phi < EPS_TANG or near_double:
+            break
         elapsed += flight
-        if cos_phi < EPS_TANG:
-            flag = SingularFlag(TANGENTIAL, len(hits) - 1)
-            break
-        if near_double:
-            flag = SingularFlag(DOUBLE, len(hits) - 1)
-            break
         v = v_post
-        if len(hits) >= max_events and elapsed < duration:
-            flag = SingularFlag(BUDGET_EXCEEDED, len(hits) - 1)
-            break
-    return (_hit_arrays(hits, len(q), len(ft.onb)), [len(hits)], q[None], v[None], np.array([tail]),
-            np.array([elapsed]), [flag])
+    return _hit_arrays(hits, len(q), len(ft.onb)), [len(hits)]
 
 
 # ---------------------------------------------------------------------------
@@ -600,20 +606,15 @@ def _lockstep(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float, m
     pass. Slot rows past ``n_rows`` may be left from an earlier, wider tube:
     no product is taken over them, so their b is 0 and they never hit.
 
-    Returns the per-hit arrays of all trajectories (``_HITS``; ``ids`` names
-    the trajectory), ordered by trajectory and then time, and per
-    trajectory its number of hits, end point, end velocity, tail, elapsed
-    time and flag.
+    Returns the per-hit arrays of all trajectories (``_HITS``), ordered by
+    trajectory and then time, and per trajectory its number of hits.
     """
     n_traj, d = q.shape
-    end_q, end_v = q.copy(), v.copy()
-    tail, elapsed = np.zeros(n_traj), np.zeros(n_traj)
     counts = np.zeros(n_traj, dtype=int)
-    flags: list[SingularFlag | None] = [None] * n_traj
     hits = []
     # The slots start as pad rows (row 0); take_off fills everything else.
     n_ball = len(ft.offsets)
-    st = dict(ids=np.arange(n_traj), q0=np.empty_like(q), q=np.empty_like(q), v=np.empty_like(v),
+    st = dict(ids=np.arange(n_traj), q=np.empty_like(q), v=np.empty_like(v),
               uc=np.empty((n_traj, len(ft.onb))), base=np.empty(n_traj), elapsed=np.empty(n_traj),
               window=np.empty(n_traj), n_rows=np.empty(n_traj, dtype=int),
               rows=np.zeros((n_traj, n_ball), dtype=int), r_sq=np.zeros((n_traj, n_ball)),
@@ -627,7 +628,7 @@ def _lockstep(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float, m
         width = tube["rows"].shape[1]
         for name in ("rows", "r_sq", "a_row"):
             st[name][at, :width] = tube.pop(name)
-        for name, col in dict(tube, q0=q0, q=q0, v=v0, base=0.0, elapsed=time).items():
+        for name, col in dict(tube, q=q0, v=v0, base=0.0, elapsed=time).items():
             st[name][at] = col
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -698,21 +699,10 @@ def _lockstep(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float, m
                 count = counts[ids] = counts[ids] + 1
                 hits.append((flight, k, q_hit, shift, lam0[h, 0] + ft.offsets[row], normal, cos_phi, v_post,
                              near_double, v_pre, ids, count))
-                flagged = (cos_phi < EPS_TANG) | near_double
-                go = (count < max_events) & (time < duration) & ~flagged
+                go = (count < max_events) & (time < duration) & ~((cos_phi < EPS_TANG) | near_double)
                 at = h
                 if not go.all():
-                    done = (~go).nonzero()[0]
-                    ids_d = ids[done]
-                    end_q[ids_d], elapsed[ids_d] = q_hit[done], time[done]
-                    # A tangential or double hit keeps the incoming velocity.
-                    end_v[ids_d] = np.where(flagged[done, None], v_pre[done], v_post[done])
-                    for i in done.tolist():
-                        kind = TANGENTIAL if cos_phi[i] < EPS_TANG else DOUBLE if near_double[i] else \
-                            BUDGET_EXCEEDED if time[i] < duration else None
-                        if kind:
-                            flags[int(ids[i])] = SingularFlag(kind, int(count[i]) - 1)
-                    leave[h[done]] = True
+                    leave[h[~go]] = True
                     at, q_hit, v_post, time = h[go], q_hit[go], v_post[go], time[go]
                 if len(at):
                     # A slice writes faster than indices when all fly on.
@@ -723,24 +713,18 @@ def _lockstep(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float, m
                 step = np.where(w <= 2e-10, w, w - 1e-10)
                 np.copyto(st["q"], np.mod(st["q"] + step[:, None] * st["v"], 1.0), where=~got[:, None])
                 np.copyto(st["base"], st["base"] + step, where=~got)
-                over = (~got & (st["base"] >= left - 1e-15)).nonzero()[0]
-                if len(over):
-                    # These flights end free: the tail is all the time left,
-                    # flown from the flight's start.
-                    ids, t_o, v_o = st["ids"][over], left[over], st["v"][over]
-                    end_q[ids] = np.mod(st["q0"][over] + t_o[:, None] * v_o, 1.0)
-                    end_v[ids], tail[ids], elapsed[ids] = v_o, t_o, duration
-                    leave[over] = True
+                # These flights end free, when the windows reach the time left.
+                leave |= ~got & (st["base"] >= left - 1e-15)
 
     if not hits:
-        return _hit_arrays([], d, len(ft.onb)), counts.tolist(), end_q, end_v, tail, elapsed, flags
+        return _hit_arrays([], d, len(ft.onb)), counts.tolist()
     # Each hit to its place: after the earlier trajectories' hits, at its
     # own event number.
-    *columns, number = (np.concatenate(c) for c in zip(*hits))
+    *columns, ids, number = (np.concatenate(c) for c in zip(*hits))
     hits.clear()
-    place = (np.cumsum(counts) - counts)[columns[-1]] + number - 1
+    place = (np.cumsum(counts) - counts)[ids] + number - 1
     cols = {}
     for name, col in zip(_HITS, columns):
         cols[name] = np.empty_like(col)
         cols[name][place] = col
-    return cols, counts.tolist(), end_q, end_v, tail, elapsed, flags
+    return cols, counts.tolist()

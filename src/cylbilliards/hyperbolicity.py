@@ -425,6 +425,8 @@ def survey_sufficiency(table: BilliardTable, sample_count: int, duration: float,
         raise ValueError(f"unknown survey mode {mode!r}")
     if sample_count < 0:
         raise ValueError(f"sample_count = {sample_count} is negative")
+    if not duration >= 0:
+        raise ValueError(f"duration = {duration} is not >= 0")
     if max_events < 1:
         raise ValueError(f"max_events = {max_events} is below 1")
     work = partial(_survey_rows, table, seed=seed, duration=duration, mode=mode,

@@ -10,7 +10,6 @@ one row template per file.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass
@@ -260,6 +259,8 @@ def lyapunov_to_dict(report: LyapunovReport, meta: dict) -> dict:
 
 
 def write_survey_csv(result: SurveyResult, path, meta: dict) -> None:
+    """One row per sample: its ids, richness, sufficiency and flag, with
+    "true"/"false" for booleans and an empty cell for an undecided value."""
     header = [
         "sample_id", "seed", "n_collisions", "distinct_cylinders", "span_dim",
         "codim2_ok", "full_span", "neutral_dim", "sufficient", "singular_flag",
@@ -272,17 +273,10 @@ def write_survey_csv(result: SurveyResult, path, meta: dict) -> None:
             return "true" if value else "false"
         return value
 
-    with open(path, "w", newline="") as fh:
-        for line in _meta_lines(meta):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in result.rows:
-            writer.writerow([
-                r.sample_id, r.seed, r.n_collisions, r.distinct_cylinders,
-                cell(r.span_dim), cell(r.codim2_ok), cell(r.full_span),
-                cell(r.neutral_dim), cell(r.sufficient), r.singular_flag,
-            ])
+    template = ",".join(["%s"] * len(header)) + "\r\n"
+    rows = ((r.sample_id, r.seed, r.n_collisions, r.distinct_cylinders, cell(r.span_dim), cell(r.codim2_ok),
+             cell(r.full_span), cell(r.neutral_dim), cell(r.sufficient), r.singular_flag) for r in result.rows)
+    _csv_rows(path, meta, header, template, rows)
 
 
 def write_json(doc: dict, path) -> None:

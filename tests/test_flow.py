@@ -706,3 +706,51 @@ class TestBatch:
             evolve(x, sinai2, 10.0, max_events=budget)
         with pytest.raises(ValueError, match="max_events"):
             evolve_batch([x, x], sinai2, 10.0, max_events=budget)
+
+
+class TestEndings:
+    """Runs whose ends the segment works out from its columns: a hit exactly
+    at the end of the run, and a run of no time at all."""
+
+    def _cases(self, sinai2):
+        rng = np.random.default_rng(12)
+        while True:
+            x = random_phase_point(sinai2, rng)
+            first = next_collision(x, sinai2, 50.0)
+            # A flight shorter than sinai2's window (2) is found in its first
+            # window, at the same root.
+            if first is not None and first.time < 1.5:
+                return {"hit_at_end": (x, first.time), "zero": (x, 0.0)}
+
+    @pytest.mark.parametrize("case", ["hit_at_end", "zero"])
+    def test_alone_in_a_batch_and_against_the_reference(self, sinai2, case):
+        x, duration = self._cases(sinai2)[case]
+        seg = evolve(x, sinai2, duration)
+        assert seg.singular_flag is None and seg.tail == 0.0
+        if case == "hit_at_end":
+            assert seg.n_events == 1 and seg.duration == seg.time[-1] == duration
+            assert same_bits(seg.end.v, seg.v_post[-1]) and same_bits(seg.end.q, seg.q_hit[-1])
+        else:
+            assert seg.n_events == 0 and seg.duration == 0.0
+            assert same_bits(seg.end.q, x.q) and same_bits(seg.end.v, x.v)
+            assert same_bits(seg.end_unwrapped, x.q)
+        events, flag, elapsed, tail, q, v, unwrapped = reference_evolve(x, sinai2, duration)
+        assert flag is None and (seg.duration, seg.tail) == (elapsed, tail)
+        for got, want in zip(seg.events, events, strict=True):
+            assert_same_event(got, want)
+        assert same_bits(seg.end.q, q) and same_bits(seg.end.v, v) and same_bits(seg.end_unwrapped, unwrapped)
+        others = [random_phase_point(sinai2, np.random.default_rng([13, i])) for i in range(3)]
+        batch = evolve_batch([others[0], x, *others[1:]], sinai2, duration)
+        assert_same_segment(batch[1], seg)
+        for y, got in zip(others, batch[:1] + batch[2:]):
+            assert_same_segment(got, evolve(y, sinai2, duration))
+
+    @pytest.mark.parametrize("duration", [-5.0, -1e-300, float("nan")])
+    def test_negative_or_nan_duration_rejected(self, sinai2, duration):
+        x = random_phase_point(sinai2, np.random.default_rng(9))
+        with pytest.raises(ValueError, match="duration"):
+            evolve(x, sinai2, duration)
+        with pytest.raises(ValueError, match="duration"):
+            evolve_batch([x, x], sinai2, duration)
+        with pytest.raises(ValueError, match="duration"):
+            evolve_batch([], sinai2, duration)

@@ -415,7 +415,8 @@ class TestSurvey:
                 verdict = sufficiency(seg)
                 assert (row.neutral_dim, row.sufficient) == (verdict.neutral_dim, verdict.sufficient)
 
-    @pytest.mark.parametrize("change", [dict(max_events=0), dict(sample_count=-1), dict(mode="bogus")])
+    @pytest.mark.parametrize("change", [dict(max_events=0), dict(sample_count=-1), dict(mode="bogus"),
+                                        dict(duration=-5.0), dict(duration=float("nan"))])
     def test_bad_arguments_rejected(self, ortho3, change):
         args = dict(sample_count=4, duration=5.0, seed=1) | change
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from cylbilliards.tableio import (
     write_json,
     write_qmonitor_csv,
     write_segment_json,
+    write_survey_csv,
 )
 
 ORTHO3_DOC = {
@@ -224,6 +225,22 @@ class TestWritersMatchPerEventReference:
         assert b"-0," in (tmp_path / "got.csv").read_bytes()
 
 
+def test_survey_csv_content(tmp_path):
+    from cylbilliards.hyperbolicity import SAMPLE_ERROR, SurveyResult, SurveyRow
+
+    rows = (SurveyRow(0, 7, 12, 2, 3, True, True, 1, True, "none"),
+            SurveyRow(1, 7, 0, 0, None, None, None, None, None, SAMPLE_ERROR, error="StartsInsideScatterer: x"),
+            SurveyRow(2, 7, 5, 1, 2, False, False, None, None, "budget_exceeded"))
+    write_survey_csv(SurveyResult(rows, {}), tmp_path / "survey.csv", {"scenario_hash": "ab12"})
+    assert (tmp_path / "survey.csv").read_bytes() == (
+        f"# tool_version={__version__}\n# scenario_hash=ab12\n"
+        "sample_id,seed,n_collisions,distinct_cylinders,span_dim,codim2_ok,full_span,neutral_dim,sufficient,"
+        "singular_flag\r\n"
+        "0,7,12,2,3,true,true,1,true,none\r\n"
+        "1,7,0,0,,,,,,error\r\n"
+        "2,7,5,1,2,false,false,,,budget_exceeded\r\n").encode()
+
+
 def _write_scenario(tmp_path, name, extra):
     path = tmp_path / name
     path.write_text(json.dumps({"table": ORTHO3_DOC, **extra}))
@@ -292,6 +309,12 @@ class TestCli:
         ("lyapunov", {"seed": 1, "duration": -5.0}, "duration"),
         ("lyapunov", {"seed": 1, "renorm_interval": 0}, "renorm_interval"),
         ("lyapunov", {"seed": 1, "renorm_interval": -3}, "renorm_interval"),
+        ("simulate", {"start": {"q": [0.5, 0.1], "v": [0.6, 0.8]}, "duration": -5}, "duration"),
+        ("simulate", {"start": {"q": [0.5, 0.1], "v": [0.6, 0.8]}, "duration": float("nan")}, "duration"),
+        ("qmonitor", {"start": {"q": [0.5, 0.1], "v": [0.6, 0.8]}, "duration": -5,
+                      "normal": {"z": [1.0, 0.0], "w": [0.0, 1.0]}}, "duration"),
+        ("sufficiency", {"start": {"q": [0.5, 0.1], "v": [0.6, 0.8]}, "duration": -5}, "duration"),
+        ("survey", {"seed": 1, "samples": 2, "duration": -5}, "duration"),
     ])
     def test_bad_scenario_value_exit_3_names_field(self, tmp_path, capsys, command, extra, field):
         disc = {"dimension": 2, "cylinders": [{"generator": [], "translation": [0.0, 0.0], "radius": 0.2}]}
