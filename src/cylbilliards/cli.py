@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -35,6 +34,9 @@ from .geometry import transitivity_report
 from .hyperbolicity import ANSATZ, GENERIC, sufficiency, survey_sufficiency
 from .tableio import (
     Scenario,
+    _flag,
+    _number,
+    _vector,
     load_scenario,
     lyapunov_to_dict,
     transitivity_to_dict,
@@ -88,34 +90,6 @@ def _diag(code: int, message: str, **extra) -> int:
     doc = {"error": message, "exit_code": code, "tool_version": TOOL_VERSION, **extra}
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
     return code
-
-
-def _number(scenario: Scenario, key: str, default, kind=float, least=None):
-    """The scenario's ``key`` converted by ``kind``; TableFormatError naming
-    the field when that fails, gives NaN or falls below ``least``."""
-    try:
-        number = kind(scenario.get(key, default))
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if number != number:
-        raise TableFormatError(key, "must be a number")
-    if least is not None and number < least:
-        raise TableFormatError(key, f"must be at least {least}")
-    return number
-
-
-def _vector(doc: dict, key: str, field: str, dim: int) -> np.ndarray:
-    """``doc[key]`` as a vector of ``dim`` finite floats; TableFormatError
-    naming ``field`` otherwise."""
-    if key not in doc:
-        raise TableFormatError(field, "missing")
-    try:
-        vec = np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError):
-        vec = None
-    if vec is None or vec.shape != (dim,) or not np.isfinite(vec).all():
-        raise TableFormatError(field, f"must be a list of {dim} finite numbers")
-    return vec
 
 
 def _resolve_seed(scenario: Scenario, args, required: bool) -> int | None:
@@ -185,7 +159,7 @@ def cmd_qmonitor(scenario: Scenario, args) -> int:
     _, segment = _evolve_from_scenario(scenario, args)
     if segment.singular_flag is not None and is_singular(segment.singular_flag.kind):
         return _diag(EXIT_SINGULARITY, f"segment flagged {segment.singular_flag.kind}")
-    samples = evolve_normal(n, segment, rescale=bool(scenario.get("rescale", False)))
+    samples = evolve_normal(n, segment, rescale=_flag(scenario, "rescale", False))
     meta = {"scenario_hash": scenario.scenario_hash}
     write_qmonitor_csv(samples, _out_path(args, scenario, "qmonitor.csv"), meta)
     return EXIT_OK

@@ -14,10 +14,12 @@ the distance from a point to every cylinder's nearest axis translate.
 
 Many trajectories run in lockstep: one pass takes one window or one hit of
 every trajectory still in flight, each with a slot of tube rows in one state
-updated in place. Each coordinate-mixing product is one BLAS call per
-trajectory, or per row, of exactly the shape the one-trajectory loop uses,
-so a trajectory computes the same bits in any batch as alone. A lone
-trajectory runs the plain loop, whose per-call cost is lower.
+updated in place; past its tube a slot holds pads, rows the tube left out.
+Each coordinate-mixing product is one BLAS call per trajectory, or per row,
+of exactly the shape the one-trajectory loop uses, so a trajectory computes
+the same bits in any batch as alone. Hits come out pass by pass, in time
+order, and one stable sort by trajectory orders them. A lone trajectory runs
+the plain loop, whose per-call cost is lower.
 
 A segment stores its events as columns. Both flight loops stop a run at a
 tangential or double hit, at the event budget or at the end of the duration,
@@ -572,19 +574,16 @@ def _tubes(ft: _FlightTable, v: np.ndarray) -> dict:
     """``_first_collision``'s per-flight set-up for flights with velocities v
     (C, d), one matrix-vector product per flight: the stacked base velocity
     ``uc``, the tube rows in table order, padded to a common width R >= 2
-    (``rows`` pads with row 0, ``n_rows`` counts the real ones), with their
-    r^2 and |base velocity|^2, and the window length."""
-    n_v = len(v)
+    with rows left out of the tube (``n_rows`` counts the kept ones), with
+    their r^2 and |base velocity|^2, and the window length."""
     uc = (ft.onb @ v[:, :, None])[:, :, 0]
     a_row = (ft.mask @ (uc * uc)[:, :, None])[:, :, 0]
     off_u = (ft.offsets @ uc[:, :, None])[:, :, 0]
     keep = (ft.tube_excess * a_row <= off_u * off_u) & (a_row > 1e-28)
     n_rows = keep.sum(axis=1)
     # Kept rows first, in table order; past n_rows the entries are pads.
-    flight, row = keep.nonzero()
-    rows = np.zeros((n_v, max(2, int(n_rows.max()))), dtype=int)
-    rows[flight, np.cumsum(keep, axis=1)[flight, row] - 1] = row
-    at = np.arange(n_v)[:, None]
+    rows = np.argsort(~keep, axis=1, kind="stable")[:, :max(2, int(n_rows.max()))]
+    at = np.arange(len(v))[:, None]
     a_row = a_row[at, rows]
     window = np.where(np.arange(rows.shape[1]) < n_rows[:, None], ft.window_len[rows], np.inf) / np.sqrt(a_row)
     return dict(uc=uc, n_rows=n_rows, rows=rows, r_sq=ft.r_sq[rows], a_row=a_row, window=window.min(axis=1))
@@ -603,16 +602,17 @@ def _lockstep(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float, m
     budget is spent, writes its next tube into its slot; one without moves
     its own window on, and its flight ends when the windows reach the
     remaining time. Trajectories whose runs end leave in one compaction per
-    pass. Slot rows past ``n_rows`` may be left from an earlier, wider tube:
-    no product is taken over them, so their b is 0 and they never hit.
+    pass. Slot rows past ``n_rows`` are pads, or left from an earlier, wider
+    tube: no product is taken over them, so their b is 0 and they never hit.
 
-    Returns the per-hit arrays of all trajectories (``_HITS``), ordered by
-    trajectory and then time, and per trajectory its number of hits.
+    Returns the per-hit arrays of all trajectories (``_HITS``), put in order
+    by trajectory and then time by one stable sort of the passes' hits, and
+    per trajectory its number of hits.
     """
     n_traj, d = q.shape
     counts = np.zeros(n_traj, dtype=int)
     hits = []
-    # The slots start as pad rows (row 0); take_off fills everything else.
+    # Slot rows no tube has reached are row 0; take_off fills the rest.
     n_ball = len(ft.offsets)
     st = dict(ids=np.arange(n_traj), q=np.empty_like(q), v=np.empty_like(v),
               uc=np.empty((n_traj, len(ft.onb))), base=np.empty(n_traj), elapsed=np.empty(n_traj),
@@ -696,10 +696,10 @@ def _lockstep(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float, m
                 near_double = np.count_nonzero(s[h] <= (s_h + EPS_DOUBLE)[:, None], axis=1) > 1
                 cos_phi = -vn
                 # counts keeps every trajectory's number of hits so far.
-                count = counts[ids] = counts[ids] + 1
+                counts[ids] += 1
                 hits.append((flight, k, q_hit, shift, lam0[h, 0] + ft.offsets[row], normal, cos_phi, v_post,
-                             near_double, v_pre, ids, count))
-                go = (count < max_events) & (time < duration) & ~((cos_phi < EPS_TANG) | near_double)
+                             near_double, v_pre, ids))
+                go = (counts[ids] < max_events) & (time < duration) & ~((cos_phi < EPS_TANG) | near_double)
                 at = h
                 if not go.all():
                     leave[h[~go]] = True
@@ -718,13 +718,7 @@ def _lockstep(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float, m
 
     if not hits:
         return _hit_arrays([], d, len(ft.onb)), counts.tolist()
-    # Each hit to its place: after the earlier trajectories' hits, at its
-    # own event number.
-    *columns, ids, number = (np.concatenate(c) for c in zip(*hits))
+    *columns, ids = (np.concatenate(c) for c in zip(*hits))
     hits.clear()
-    place = (np.cumsum(counts) - counts)[ids] + number - 1
-    cols = {}
-    for name, col in zip(_HITS, columns):
-        cols[name] = np.empty_like(col)
-        cols[name][place] = col
-    return cols, counts.tolist()
+    order = np.argsort(ids, kind="stable")
+    return {name: col[order] for name, col in zip(_HITS, columns)}, counts.tolist()

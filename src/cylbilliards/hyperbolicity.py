@@ -143,10 +143,10 @@ def _forward_walks(segments, rows: np.ndarray) -> list:
 
     At collision k the segments still running are grouped by (cylinder hit,
     rows left): each group takes one stacked product, SVD and eigvalsh whose
-    every item is the call ``_forward_walk`` makes for that segment alone,
-    so each result is bitwise the lone walk's. Cuts and advances are
-    recorded per segment and replayed in order at the end. A lone segment
-    runs ``_forward_walk`` itself, whose per-collision cost is lower.
+    every item is the call ``_forward_walk`` makes for that segment alone.
+    Each segment holds its own basis and advance matrix, cut in place as the
+    lone walk cuts them, so each result is bitwise the lone walk's. A lone
+    segment runs ``_forward_walk`` itself, whose per-collision cost is lower.
     """
     if len(segments) == 1:
         try:
@@ -168,10 +168,8 @@ def _forward_walks(segments, rows: np.ndarray) -> list:
             at = (seg.cylinder_id == c).nonzero()[0]
             v_base[i, at, :len(bases[c])] = (bases[c] @ seg.v_pre[at][:, :, None])[:, :, 0]
     v_sq = (v_base[:, :, None, :] @ v_base[:, :, :, None])[:, :, 0, 0]
-    images = [rows] * n_seg
-    alphas = np.zeros((n_seg, n_max, n_rows))
-    sizes = [n_rows] * n_seg
-    cuts: list[list] = [[] for _ in segments]
+    basis, images = [rows] * n_seg, [rows] * n_seg
+    advances = [np.zeros((n_rows, n)) for n in counts]
     ranks = []  # per group and step: members, singular values, thresholds, ranks
     failed: list = [None] * n_seg
     active = [i for i in range(n_seg) if counts[i]]
@@ -179,7 +177,7 @@ def _forward_walks(segments, rows: np.ndarray) -> list:
         active = [i for i in active if counts[i] > k and failed[i] is None]
         groups: dict = {}
         for i in active:
-            groups.setdefault((cids[i][k], sizes[i]), []).append(i)
+            groups.setdefault((cids[i][k], len(images[i])), []).append(i)
         for (c, p), members in groups.items():
             g = np.array(members)
             base_rows = bases[c]
@@ -208,12 +206,11 @@ def _forward_walks(segments, rows: np.ndarray) -> list:
                     keep = u[at][:, :, r:].transpose(0, 2, 1)
                     image_r, alpha_r = keep @ image_r, (keep @ alpha_r[:, :, None])[:, :, 0]
                     for i, cut in zip(sub.tolist(), keep):
-                        cuts[i].append((k, cut))
-                        sizes[i] = p - r
-                alphas[sub, k, :p - r] = alpha_r
+                        basis[i], advances[i] = cut @ basis[i], cut @ advances[i]
                 images_r = image_r + alpha_r[:, :, None] * jumps[sub, k][:, None, :]
-                for i, image_i in zip(sub.tolist(), images_r):
+                for i, image_i, alpha_i in zip(sub.tolist(), images_r, alpha_r):
                     images[i] = image_i
+                    advances[i][:, k] = alpha_i
     # Rank margins over the threshold, per segment: the largest singular
     # value treated as zero (0.0 if none) and the smallest one counted.
     kept, dropped = np.zeros(n_seg), np.full(n_seg, np.inf)
@@ -227,23 +224,10 @@ def _forward_walks(segments, rows: np.ndarray) -> list:
         np.maximum.at(kept, g[part], s[at[part], rank[part]] / threshold[part])
         part = rank > 0
         np.minimum.at(dropped, g[part], s[at[part], rank[part] - 1] / threshold[part])
-    results = []
-    for i, n in enumerate(counts):
-        if failed[i] is not None:
-            results.append(failed[i])
-            continue
-        # Replay the cuts on the recorded advances, in order, as one walk
-        # applies them to its advance matrix.
-        basis, advances, done, p = rows, np.zeros((n_rows, n)), 0, n_rows
-        for k, keep in cuts[i]:
-            advances[:, done:k] = alphas[i, done:k, :p].T
-            basis, advances, done, p = keep @ basis, keep @ advances, k, keep.shape[0]
-        advances[:, done:] = alphas[i, done:n, :p].T
-        results.append(NeutralSpaceResult(
-            basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
-            method=ADVANCE_SYSTEM, largest_kept_sv=float(kept[i]),
-            smallest_dropped_sv=float(dropped[i]) if dropped[i] < np.inf else None))
-    return results
+    return [failed[i] if failed[i] is not None else NeutralSpaceResult(
+        basis=basis[i], dim=basis[i].shape[0], advances=tuple(map(tuple, advances[i].tolist())),
+        method=ADVANCE_SYSTEM, largest_kept_sv=float(kept[i]),
+        smallest_dropped_sv=float(dropped[i]) if dropped[i] < np.inf else None) for i in range(n_seg)]
 
 
 def neutral_space_advance(segment: OrbitSegment, table: BilliardTable | None = None) -> NeutralSpaceResult:
@@ -435,12 +419,12 @@ def survey_sufficiency(table: BilliardTable, sample_count: int, duration: float,
     if threads > 1 and sample_count > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # One batch per worker: every batch carries the table, and each
+        # One worker per batch: every batch carries the table, and each
         # fresh copy rebuilds its flight data.
         size = math.ceil(sample_count / threads)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = [row for batch in pool.map(work, [ids[i:i + size] for i in range(0, sample_count, size)])
-                    for row in batch]
+        batches = [ids[i:i + size] for i in range(0, sample_count, size)]
+        with ProcessPoolExecutor(max_workers=len(batches)) as pool:
+            rows = [row for batch in pool.map(work, batches) for row in batch]
     else:
         rows = work(ids)
     return SurveyResult(rows=tuple(rows), summary=summarize_survey(rows, table, seed=seed,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,16 +31,54 @@ from .tangent import LyapunovReport
 # ---------------------------------------------------------------------------
 
 
+def _number(doc, key: str, default, kind=float, least=None):
+    """``doc[key]`` (``default`` when absent) converted by ``kind``, float or
+    int; TableFormatError naming the field when it is not a number (a boolean
+    or a string is not), is NaN, is not integral for int, or falls below
+    ``least``."""
+    value = doc.get(key, default)
+    try:
+        number = math.nan if isinstance(value, (bool, str)) else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if number != number or (kind is int and number != value):
+        raise TableFormatError(key, "must be an integer" if kind is int else "must be a number")
+    if least is not None and number < least:
+        raise TableFormatError(key, f"must be at least {least}")
+    return number
+
+
+def _vector(doc: dict, key: str, field: str, dim: int) -> np.ndarray:
+    """``doc[key]`` as a vector of ``dim`` finite floats; TableFormatError
+    naming ``field`` unless it is a list of ``dim`` finite numbers, none of
+    them a boolean."""
+    if key not in doc:
+        raise TableFormatError(field, "missing")
+    entries = doc[key]
+    vec = None
+    if isinstance(entries, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entries):
+        vec = np.asarray(entries, dtype=float)
+    if vec is None or vec.shape != (dim,) or not np.isfinite(vec).all():
+        raise TableFormatError(field, f"must be a list of {dim} finite numbers")
+    return vec
+
+
+def _flag(doc, key: str, default: bool) -> bool:
+    """``doc[key]`` (``default`` when absent); TableFormatError naming the
+    field unless it is true or false."""
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise TableFormatError(key, "must be true or false")
+    return value
+
+
 def table_from_dict(doc: dict) -> BilliardTable:
     """Build and validate a table from its definition document."""
     if not isinstance(doc, dict):
         raise TableFormatError("table", "definition must be a JSON object")
-    try:
-        dim = int(doc["dimension"])
-    except KeyError:
-        raise TableFormatError("dimension", "missing") from None
-    except (TypeError, ValueError):
-        raise TableFormatError("dimension", "must be an integer") from None
+    if "dimension" not in doc:
+        raise TableFormatError("dimension", "missing")
+    dim = _number(doc, "dimension", None, int, least=1)
     cylinders_doc = doc.get("cylinders")
     if not isinstance(cylinders_doc, list) or not cylinders_doc:
         raise TableFormatError("cylinders", "must be a nonempty list")
@@ -59,20 +98,15 @@ def table_from_dict(doc: dict) -> BilliardTable:
                 raise TableFormatError(
                     f"{field}.generator", "rows must be lists of integers"
                 )
-        translation = cyl_doc["translation"]
-        if not isinstance(translation, list) or len(translation) != dim:
-            raise TableFormatError(f"{field}.translation", f"must be a list of {dim} numbers")
+        translation = _vector(cyl_doc, "translation", f"{field}.translation", dim)
         radius = cyl_doc["radius"]
-        if not isinstance(radius, (int, float)) or isinstance(radius, bool) or radius <= 0:
-            raise TableFormatError(f"{field}.radius", "must be a positive number")
+        if not isinstance(radius, (int, float)) or isinstance(radius, bool) or not 0 < radius < math.inf:
+            raise TableFormatError(f"{field}.radius", "must be a positive finite number")
         cylinders.append(build_cylinder(generator, translation, float(radius), dim))
-    table = build_table(cylinders)
-    if doc.get("check_disjointness", True):
-        budget = doc.get("disjointness_budget", 200_000)
-        table = validate_table(table, disjoint_budget=int(budget))
-    else:
-        table = validate_table(table, disjoint_budget=0)
-    return table
+    budget = _number(doc, "disjointness_budget", 200_000, int)
+    if not _flag(doc, "check_disjointness", True):
+        budget = 0
+    return validate_table(build_table(cylinders), disjoint_budget=budget)
 
 
 def table_to_dict(table: BilliardTable) -> dict:

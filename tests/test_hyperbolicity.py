@@ -174,7 +174,8 @@ class TestForwardWalk:
                     for n in rng.integers(1, 40, size=12)]
         segments = [seg for seg in segments if clean(seg)]
         segments.append(evolve(phase_point(segments[0].start.q, segments[0].start.v), table, 1e-9))
-        for rows in (np.eye(table.dim), rng.normal(size=(1, table.dim)), segments[0].start.v[None]):
+        two = np.linalg.qr(rng.normal(size=(table.dim, 2)))[0].T
+        for rows in (np.eye(table.dim), rng.normal(size=(1, table.dim)), segments[0].start.v[None], two):
             for seg, got in zip(segments, hyperbolicity._forward_walks(segments, rows)):
                 try:
                     want = hyperbolicity._forward_walk(seg, rows)
@@ -390,6 +391,32 @@ class TestSurvey:
         for threads in (2, 3):
             parallel = survey_sufficiency(ortho3, 16, 12.0, seed=9, threads=threads)
             assert [dataclasses.asdict(r) for r in serial.rows] == [dataclasses.asdict(r) for r in parallel.rows]
+
+    def test_pool_starts_no_more_workers_than_batches(self, ortho3, monkeypatch):
+        import concurrent.futures
+
+        asked = []
+
+        class SerialPool:
+            """Records the pool size asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        rows = survey_sufficiency(ortho3, 4, 10.0, seed=1, threads=64).rows
+        assert asked == [4]
+        serial = survey_sufficiency(ortho3, 4, 10.0, seed=1).rows
+        assert [dataclasses.asdict(r) for r in rows] == [dataclasses.asdict(r) for r in serial]
 
     @pytest.mark.parametrize("mode", ["generic", "ansatz"])
     def test_rows_are_the_first_rows_of_a_larger_survey(self, skew3, mode):

@@ -40,6 +40,15 @@ ORTHO3_DOC = {
 }
 
 
+def disc_doc(translation=(0.0, 0.0), **fields):
+    """A one-disc 2-D table document, with ``fields`` set on top."""
+    return {"dimension": 2, "cylinders": [{"generator": [], "translation": list(translation), "radius": 0.2}],
+            **fields}
+
+
+DISC_START = {"start": {"q": [0.5, 0.1], "v": [0.6, 0.8]}}
+
+
 class TestTableFiles:
     def test_round_trip_identical_flags(self):
         table = table_from_dict(ORTHO3_DOC)
@@ -315,11 +324,39 @@ class TestCli:
                       "normal": {"z": [1.0, 0.0], "w": [0.0, 1.0]}}, "duration"),
         ("sufficiency", {"start": {"q": [0.5, 0.1], "v": [0.6, 0.8]}, "duration": -5}, "duration"),
         ("survey", {"seed": 1, "samples": 2, "duration": -5}, "duration"),
+        ("simulate", {"table": disc_doc(disjointness_budget=None), **DISC_START}, "disjointness_budget"),
+        ("simulate", {"table": disc_doc(disjointness_budget="lots"), **DISC_START}, "disjointness_budget"),
+        ("simulate", {"table": disc_doc(disjointness_budget=2.5), **DISC_START}, "disjointness_budget"),
+        ("simulate", {"table": disc_doc(check_disjointness="false"), **DISC_START}, "check_disjointness"),
+        ("simulate", {"table": disc_doc(dimension=2.7), **DISC_START}, "dimension"),
+        ("simulate", {"table": disc_doc(dimension=True), **DISC_START}, "dimension"),
+        ("simulate", {"table": disc_doc(dimension=-1), **DISC_START}, "dimension"),
+        ("simulate", {"table": {**disc_doc(), "cylinders": [{"generator": [], "translation": [0.0, 0.0],
+                                                            "radius": float("inf")}]}, **DISC_START},
+         "cylinders[0].radius"),
+        ("simulate", {"table": disc_doc(("a", 0.0)), **DISC_START}, "cylinders[0].translation"),
+        ("simulate", {"table": disc_doc((float("nan"), 0.0)), **DISC_START}, "cylinders[0].translation"),
+        ("simulate", {"table": disc_doc((0.0, float("inf"))), **DISC_START}, "cylinders[0].translation"),
+        ("simulate", {"table": disc_doc(("0.5", 0.0)), **DISC_START}, "cylinders[0].translation"),
+        ("simulate", {"table": disc_doc((0.0, True)), **DISC_START}, "cylinders[0].translation"),
+        ("simulate", {"start": {"q": [0.5, False], "v": [0.6, 0.8]}}, "start.q"),
+        ("simulate", {"start": {"q": [0.5, 0.1], "v": ["0.6", 0.8]}}, "start.v"),
+        ("survey", {"seed": 1, "samples": 2.5}, "samples"),
+        ("simulate", {**DISC_START, "duration": "20"}, "duration"),
+        ("survey", {"seed": "1", "samples": 2}, "seed"),
+        ("survey", {"seed": 1, "samples": True}, "samples"),
+        ("survey", {"seed": 1.5, "samples": 2}, "seed"),
+        ("survey", {"seed": True, "samples": 2}, "seed"),
+        ("simulate", {**DISC_START, "max_events": 7.5}, "max_events"),
+        ("simulate", {**DISC_START, "max_events": True}, "max_events"),
+        ("lyapunov", {"seed": 1, "renorm_interval": 2.5}, "renorm_interval"),
+        ("lyapunov", {"seed": 1, "renorm_interval": True}, "renorm_interval"),
+        ("qmonitor", {**DISC_START, "normal": {"z": [1.0, 0.0], "w": [0.0, 1.0]}, "rescale": "false"}, "rescale"),
+        ("qmonitor", {**DISC_START, "normal": {"z": [1.0, 0.0], "w": [0.0, 1.0]}, "rescale": 0}, "rescale"),
     ])
     def test_bad_scenario_value_exit_3_names_field(self, tmp_path, capsys, command, extra, field):
-        disc = {"dimension": 2, "cylinders": [{"generator": [], "translation": [0.0, 0.0], "radius": 0.2}]}
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"table": disc, **extra}))
+        path.write_text(json.dumps({"table": disc_doc(), **extra}))
         assert main([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 3
         assert json.loads(capsys.readouterr().err)["field"] == field
 
