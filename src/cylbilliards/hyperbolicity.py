@@ -36,7 +36,7 @@ from .flow import (OrbitSegment, PhasePoint, _random_starts, evolve_batch, fligh
                    _lockstep_parts)
 from .geometry import BilliardTable, base_ranks
 from .linalg import nullspace, orthonormal_basis
-from .tangent import transport
+from .tangent import BLOCK, transport
 
 ADVANCE_SYSTEM = "advance_system"
 DERIVATIVE_KERNEL = "derivative_kernel"
@@ -44,6 +44,13 @@ DERIVATIVE_KERNEL = "derivative_kernel"
 # Absolute rank tolerance, scaled by max(1, norm), of the per-collision cuts
 # of both neutral-space sweeps.
 ADVANCE_ATOL = 1e-8
+
+# Collisions that must be left after a collision that cuts no row for
+# ``_forward_walk`` to defer its rank decisions. Deferring every tail broke
+# even on walks of 12-16 collisions on sinai2, ortho3 and dense3, and of
+# 24-32 on hs4x2 and wide5, whose rows are cut over more collisions (40
+# walks per table and length, one BLAS thread, 2-core x86-64 host).
+_DEFER_TAIL = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,37 +108,106 @@ def _rank(s: np.ndarray, threshold: float, kept: list, dropped: list) -> int:
     return rank
 
 
+def _first_cut(residuals: list, threshold: np.ndarray, kept: list, dropped: list):
+    """Rank decisions of a block of collisions that cut no row: one stacked
+    SVD per residual width. Returns the block index, rank, ``u`` and ``s``
+    of the first collision with a nonzero rank, or None. The rank margins of
+    the collisions up to it go to ``kept`` and ``dropped``, one largest and
+    one smallest ratio per width."""
+    widths = [r.shape[1] for r in residuals]
+    decided = []
+    for width in set(widths):
+        at = np.array([j for j, w in enumerate(widths) if w == width])
+        u, s, _ = np.linalg.svd(np.stack([residuals[j] for j in at]))
+        decided.append((at, u, s, (s > threshold[at, None]).sum(axis=1), threshold[at]))
+    cut = min((at[rank > 0][0] for at, _, _, rank, _ in decided if rank.any()), default=len(residuals))
+    found = None
+    for at, u, s, rank, limit in decided:
+        upto = at <= cut
+        part = upto & (rank < s.shape[1])
+        if part.any():
+            kept.append(float((s[part, rank[part]] / limit[part]).max()))
+        part = upto & (rank > 0)
+        if part.any():
+            dropped.append(float((s[part, rank[part] - 1] / limit[part]).min()))
+        if cut in at:
+            i = np.searchsorted(at, cut)
+            found = cut, int(rank[i]), u[i], s[i]
+    return found
+
+
 def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult:
     """Forward elimination of the advance system from candidate ``rows``.
 
     Rows are only ever left-multiplied by matrices with orthonormal rows, so
     orthonormal input stays orthonormal. Raises NotNeutralError, with the
     smallest residual singular value, at a collision that drops every row.
+
+    While rows are being cut, each collision is decided on its own. A
+    collision that cuts no row changes the images and advances in a way that
+    does not depend on its SVD, so after one (with at least _DEFER_TAIL
+    collisions left) the walk runs that recurrence over blocks of 4, 16, then
+    BLOCK collisions, and decides each block with one stacked eigvalsh and
+    one stacked SVD per residual width. It commits the block up to its first
+    cut, applies that cut as the per-collision step would, and goes back to
+    deciding one collision at a time. Every stacked item is the lone call's,
+    so the result is bitwise the per-collision walk's.
     """
     basis = images = rows
-    advances = np.zeros((rows.shape[0], segment.n_events))
+    n = segment.n_events
+    advances = np.zeros((rows.shape[0], n))
     kept, dropped = [], []
     bases = [c.base_basis for c in segment.table.cylinders]
-    jumps = segment.v_post - segment.v_pre
-    for k, (cid, v_pre) in enumerate(zip(segment.cylinder_id.tolist(), segment.v_pre)):
-        base_rows = bases[cid]
-        w_b = images @ base_rows.T
-        v_b = base_rows @ v_pre
-        alpha = w_b @ v_b / float(v_b @ v_b)
-        u, s, _ = np.linalg.svd(w_b - np.outer(alpha, v_b))
-        # Absolute and scaled by max(1, |W_k|_2): a threshold relative to the
-        # largest residual would drop the velocity direction (see README).
-        # |W_k|_2^2 is the top eigenvalue of the p x p Gram matrix, a third of
-        # the cost of np.linalg.norm(images, 2).
-        threshold = ADVANCE_ATOL * math.sqrt(max(1.0, float(np.linalg.eigvalsh(images @ images.T)[-1])))
-        rank = _rank(s, threshold, kept, dropped)
+    cids = segment.cylinder_id.tolist()
+    v_pre = segment.v_pre
+    jumps = segment.v_post - v_pre
+    k, size = 0, 1
+    while k < n:
+        if size > 1:
+            stop = min(n, k + size)
+            # Images before each collision of the block, and after its last.
+            stack = np.empty((stop - k + 1,) + images.shape)
+            stack[0] = images
+            alphas, residuals = np.empty((stop - k, len(images))), []
+            for j, i in enumerate(range(k, stop)):
+                base_rows = bases[cids[i]]
+                w_b = stack[j] @ base_rows.T
+                v_b = base_rows @ v_pre[i]
+                alphas[j] = alpha = w_b @ v_b / float(v_b @ v_b)
+                residuals.append(w_b - alpha[:, None] * v_b)
+                np.add(stack[j], alpha[:, None] * jumps[i], out=stack[j + 1])
+            before = stack[:-1]
+            top = np.linalg.eigvalsh(before @ before.transpose(0, 2, 1))[:, -1]
+            found = _first_cut(residuals, ADVANCE_ATOL * np.sqrt(np.maximum(1.0, top)), kept, dropped)
+            done = stop - k if found is None else found[0]
+            advances[:, k:k + done] = alphas[:done].T
+            images = stack[done]
+            if found is None:
+                k, size = stop, min(BLOCK, 4 * size)
+                continue
+            k += done
+            alpha, (_, rank, u, s) = alphas[done], found
+        else:
+            base_rows = bases[cids[k]]
+            w_b = images @ base_rows.T
+            v_b = base_rows @ v_pre[k]
+            alpha = w_b @ v_b / float(v_b @ v_b)
+            u, s, _ = np.linalg.svd(w_b - alpha[:, None] * v_b)
+            # Absolute and scaled by max(1, |W_k|_2): a threshold relative to
+            # the largest residual would drop the velocity direction (see
+            # README). |W_k|_2^2 is the top eigenvalue of the p x p Gram
+            # matrix, a third of the cost of np.linalg.norm(images, 2).
+            threshold = ADVANCE_ATOL * math.sqrt(max(1.0, float(np.linalg.eigvalsh(images @ images.T)[-1])))
+            rank = _rank(s, threshold, kept, dropped)
         if rank:
             if rank == basis.shape[0]:
                 raise NotNeutralError(k, float(s[-1]))
             keep = u[:, rank:].T
             basis, images, advances, alpha = keep @ basis, keep @ images, keep @ advances, keep @ alpha
         advances[:, k] = alpha
-        images = images + np.outer(alpha, jumps[k])
+        images = images + alpha[:, None] * jumps[k]
+        k += 1
+        size = 4 if not rank and n - k >= _DEFER_TAIL else 1
     return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
                               method=ADVANCE_SYSTEM, largest_kept_sv=max(kept, default=0.0),
                               smallest_dropped_sv=min(dropped, default=None))
@@ -146,7 +222,8 @@ def _forward_walks(segments, rows: np.ndarray) -> list:
     every item is the call ``_forward_walk`` makes for that segment alone.
     Each segment holds its own basis and advance matrix, cut in place as the
     lone walk cuts them, so each result is bitwise the lone walk's. A lone
-    segment runs ``_forward_walk`` itself, whose per-collision cost is lower.
+    segment runs ``_forward_walk`` itself, which decides the ranks of a long
+    stretch without cuts in deferred blocks.
     """
     if len(segments) == 1:
         try:
@@ -247,12 +324,17 @@ def neutral_space_advance(segment: OrbitSegment, table: BilliardTable | None = N
 def advance_functionals(segment: OrbitSegment, translation, table: BilliardTable | None = None) -> tuple[float, ...]:
     """Advance tuple (alpha_1..alpha_n) of a neutral translation: the forward
     elimination started at the single row ``translation``. Raises
-    NotNeutralError when a constraint residual survives.
+    ValueError unless ``translation`` is a finite vector of the segment's
+    dimension, and NotNeutralError when a constraint residual survives.
     """
+    dim = segment.table.dim
+    translation = np.asarray(translation, dtype=float)
+    if translation.shape != (dim,) or not np.isfinite(translation).all():
+        raise ValueError(f"translation must be a finite vector of length {dim}, got shape {translation.shape}")
     _require_nonsingular(segment)
     if not segment.n_events:
         raise EmptySequence("advance functionals need at least one collision")
-    return _forward_walk(segment, np.asarray(translation, dtype=float).reshape(1, -1)).advances[0]
+    return _forward_walk(segment, translation[None]).advances[0]
 
 
 def neutral_space_numeric(segment: OrbitSegment, table: BilliardTable | None = None) -> NeutralSpaceResult:

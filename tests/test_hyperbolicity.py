@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from cylbilliards import (
     survey_sufficiency,
 )
 from cylbilliards import StartsInsideScatterer, build_cylinder, build_table, hyperbolicity, validate_table
+from cylbilliards.hyperbolicity import ADVANCE_ATOL, ADVANCE_SYSTEM, NeutralSpaceResult, _rank
 from cylbilliards.linalg import rational_rank
 
 from conftest import clean, segment_with_events, subspace_angle
@@ -111,6 +113,13 @@ class TestAdvanceFunctionals:
         with pytest.raises(NotNeutralError):
             advance_functionals(seg, rng.normal(size=3) + 0.1)
 
+    @pytest.mark.parametrize("translation", [[1.0, 0.0], [[1.0, 0.0, 0.0]], [np.nan, 0.0, 0.0],
+                                             [0.0, np.inf, 0.0]], ids=["length", "2d", "nan", "inf"])
+    def test_malformed_translation_rejected(self, ortho3, translation):
+        seg = segment_with_events(ortho3, np.random.default_rng(3), 4)
+        with pytest.raises(ValueError, match="translation"):
+            advance_functionals(seg, translation)
+
     def test_finite_translation_realizes_advances(self, parallel3):
         # The defining property of the advance: translating the start by
         # eps * W moves collision k to happen eps * alpha_k earlier and leaves
@@ -144,9 +153,56 @@ def _long_segment(table, seed, n_events=300):
     raise RuntimeError(f"no clean {n_events}-collision segment")
 
 
+# ---------------------------------------------------------------------------
+# The forward walk against a reference loop that decides the rank of every
+# collision on its own.
+# ---------------------------------------------------------------------------
+
+def reference_forward_walk(segment, rows):
+    basis = images = rows
+    advances = np.zeros((rows.shape[0], segment.n_events))
+    kept, dropped = [], []
+    bases = [c.base_basis for c in segment.table.cylinders]
+    jumps = segment.v_post - segment.v_pre
+    for k, (cid, v_pre) in enumerate(zip(segment.cylinder_id.tolist(), segment.v_pre)):
+        base_rows = bases[cid]
+        w_b = images @ base_rows.T
+        v_b = base_rows @ v_pre
+        alpha = w_b @ v_b / float(v_b @ v_b)
+        u, s, _ = np.linalg.svd(w_b - np.outer(alpha, v_b))
+        threshold = ADVANCE_ATOL * math.sqrt(max(1.0, float(np.linalg.eigvalsh(images @ images.T)[-1])))
+        rank = _rank(s, threshold, kept, dropped)
+        if rank:
+            if rank == basis.shape[0]:
+                raise NotNeutralError(k, float(s[-1]))
+            keep = u[:, rank:].T
+            basis, images, advances, alpha = keep @ basis, keep @ images, keep @ advances, keep @ alpha
+        advances[:, k] = alpha
+        images = images + np.outer(alpha, jumps[k])
+    return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
+                              method=ADVANCE_SYSTEM, largest_kept_sv=max(kept, default=0.0),
+                              smallest_dropped_sv=min(dropped, default=None))
+
+
+def assert_walk_is_reference(segment, rows):
+    """``_forward_walk`` is bitwise the reference walk, NotNeutralError
+    included."""
+    try:
+        want = reference_forward_walk(segment, rows)
+    except NotNeutralError as exc:
+        with pytest.raises(NotNeutralError) as got:
+            hyperbolicity._forward_walk(segment, rows)
+        assert (got.value.event_index, got.value.residual) == (exc.event_index, exc.residual)
+        return
+    got = hyperbolicity._forward_walk(segment, rows)
+    assert got.basis.tobytes() == want.basis.tobytes() and got.advances == want.advances
+    assert (got.dim, got.largest_kept_sv, got.smallest_dropped_sv) == (want.dim, want.largest_kept_sv,
+                                                                       want.smallest_dropped_sv)
+
+
 class TestForwardWalk:
     """The forward elimination on long segments, checked against the
-    per-collision constraints themselves."""
+    per-collision constraints themselves and the per-collision reference."""
 
     @pytest.mark.parametrize("name, seed", [("ortho3", 31), ("dense3", 32), ("split4", 33)])
     def test_long_segment_constraints_and_margins(self, request, name, seed):
@@ -174,6 +230,7 @@ class TestForwardWalk:
                     for n in rng.integers(1, 40, size=12)]
         segments = [seg for seg in segments if clean(seg)]
         segments.append(evolve(phase_point(segments[0].start.q, segments[0].start.v), table, 1e-9))
+        segments += [_long_segment(table, 18), _long_segment(table, 19, 20)]
         two = np.linalg.qr(rng.normal(size=(table.dim, 2)))[0].T
         for rows in (np.eye(table.dim), rng.normal(size=(1, table.dim)), segments[0].start.v[None], two):
             for seg, got in zip(segments, hyperbolicity._forward_walks(segments, rows)):
@@ -186,6 +243,32 @@ class TestForwardWalk:
                 assert got.basis.tobytes() == want.basis.tobytes() and got.advances == want.advances
                 assert (got.largest_kept_sv, got.smallest_dropped_sv) == (want.largest_kept_sv,
                                                                           want.smallest_dropped_sv)
+
+    @pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4", "hs4x2"])
+    def test_walk_equals_reference(self, request, name):
+        table = request.getfixturevalue(name)
+        rng = np.random.default_rng(23)
+        two = np.linalg.qr(rng.normal(size=(table.dim, 2)))[0].T
+        for n in (1, 5, 17, 40, 300):
+            seg = _long_segment(table, 23 + n, n)
+            for rows in (np.eye(table.dim), rng.normal(size=(1, table.dim)), seg.start.v[None], two):
+                assert_walk_is_reference(seg, rows)
+
+    @pytest.mark.parametrize("seed, n, late", [(290, 60, 20), (137, 300, 49)])
+    def test_walk_equals_reference_past_a_late_cut(self, ortho3, seed, n, late):
+        # Each start meets only one cylinder before collision ``late``. From
+        # I_3 the walk cuts at collision 0, keeps every row up to ``late``
+        # and cuts there, inside a block whose ranks were deferred; from the
+        # velocity and that cylinder's generator the first cut is ``late``.
+        x = random_phase_point(ortho3, np.random.default_rng(seed))
+        seg = evolve(x, ortho3, 1e6, max_events=n)
+        assert clean(seg) and seg.n_events == n and n - late >= 16
+        generator = np.array(seg.events[0].cylinder.generator.integer_basis[0], dtype=float)
+        span = np.linalg.qr(np.array([seg.start.v, generator]).T)[0].T
+        for rows in (np.eye(3), span):
+            assert [reference_forward_walk(evolve(x, ortho3, 1e6, max_events=m), rows).dim
+                    for m in (1, late, late + 1)] == [2, 2, 1]
+            assert_walk_is_reference(seg, rows)
 
     def test_dense3_shared_axis_is_neutral(self, dense3):
         seg = _long_segment(dense3, 32)
