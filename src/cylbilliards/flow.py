@@ -409,7 +409,8 @@ def next_collision(x: PhasePoint, table: BilliardTable, t_max: float) -> Collisi
     Raises StartsInsideScatterer when x sits strictly inside a cylinder. A
     start on a scatterer with inward radial velocity is reflected first, as
     in ``evolve``, whose first event this is. Grazing and near-double
-    candidates are flagged inside the returned event.
+    candidates are flagged inside the returned event. Raises ValueError for
+    a start with a NaN or infinite entry.
     """
     ft = flight_table(table)
     q = np.asarray(x.q, dtype=float)[None]
@@ -429,8 +430,14 @@ def _start_velocities(ft: _FlightTable, q: np.ndarray, v: np.ndarray) -> tuple[n
     cylinder (else None). Incoming and outgoing states on the boundary are
     identified: a start point sitting on a scatterer with inward radial
     velocity is reflected, so that time reversal at a collision endpoint
-    retraces the orbit instead of tunneling through the tube."""
+    retraces the orbit instead of tunneling through the tube. Raises
+    ValueError naming the first start with a NaN or infinite entry, which
+    would fly every window of its duration and end nowhere."""
     v = np.array(v, dtype=float)
+    bad = ~(np.isfinite(q).all(axis=1) & np.isfinite(v).all(axis=1))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"start {i} is not finite: q = {q[i]}, v = {v[i]}")
     errors: list = [None] * len(q)
     dists = ft.axis_distances(q)
     # The points within twice the tolerance of a scatterer, then the tests.
@@ -461,7 +468,7 @@ def evolve(x: PhasePoint, table: BilliardTable, duration: float,
     double) or when max_events is reached; the flag records which. Positions
     are re-reduced to [0,1)^d after every flight, and the covering-space
     endpoint is tracked separately for derivative checks. Raises ValueError
-    unless duration >= 0 and max_events >= 1.
+    unless duration >= 0, max_events >= 1 and the start is finite.
     """
     (segment,) = evolve_batch([x], table, duration, max_events)
     if isinstance(segment, StartsInsideScatterer):
@@ -476,7 +483,7 @@ def evolve_batch(starts, table: BilliardTable, duration: float,
     Returns one entry per start: its OrbitSegment, bitwise equal to what
     ``evolve`` gives for that start alone, or the StartsInsideScatterer the
     start raises when it sits strictly inside a cylinder, which leaves the
-    other starts unaffected.
+    other starts unaffected. A NaN or infinite start raises ValueError.
     """
     if max_events < 1:
         raise ValueError(f"max_events = {max_events} is below 1")

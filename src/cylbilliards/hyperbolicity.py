@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import EmptySequence, NotNeutralError, SingularSegment, UnknownCylinderIndex
+from .errors import DimensionMismatch, EmptySequence, NotNeutralError, SingularSegment, UnknownCylinderIndex
 from .flow import (OrbitSegment, PhasePoint, _random_starts, evolve_batch, flight_table, is_singular,
                    _lockstep_parts)
 from .geometry import BilliardTable, base_ranks
@@ -94,6 +94,14 @@ def _require_nonsingular(segment: OrbitSegment) -> None:
     flag = segment.singular_flag
     if flag is not None and is_singular(flag.kind):
         raise SingularSegment(f"segment flagged {flag.kind}")
+
+
+def _segment_dim(segment: OrbitSegment, table: BilliardTable | None) -> int:
+    """The segment's dimension; the walks read its table's cylinders."""
+    d = segment.table.dim
+    if table is not None and table.dim != d:
+        raise DimensionMismatch(f"table has dimension {table.dim}, the segment's table {d}")
+    return d
 
 
 def _rank(s: np.ndarray, threshold: float, kept: list, dropped: list) -> int:
@@ -213,24 +221,24 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
                               smallest_dropped_sv=min(dropped, default=None))
 
 
-def _forward_walks(segments, rows: np.ndarray) -> list:
-    """``_forward_walk`` of every segment, all at once: per segment its
-    NeutralSpaceResult, or the NotNeutralError the walk raises.
+def _neutral_dims(segments, d: int) -> list:
+    """Per segment, the neutral dimension ``_forward_walk`` finds from I_d,
+    or the NotNeutralError it raises, for every segment at once.
 
     At collision k the segments still running are grouped by (cylinder hit,
     rows left): each group takes one stacked product, SVD and eigvalsh whose
     every item is the call ``_forward_walk`` makes for that segment alone.
-    Each segment holds its own basis and advance matrix, cut in place as the
-    lone walk cuts them, so each result is bitwise the lone walk's. A lone
-    segment runs ``_forward_walk`` itself, which decides the ranks of a long
-    stretch without cuts in deferred blocks.
+    Each segment keeps only its images, cut and advanced as the lone walk
+    does, so each dimension is bitwise the lone walk's. A lone segment runs
+    ``_forward_walk`` itself, which decides the ranks of a long stretch
+    without cuts in deferred blocks.
     """
     if len(segments) == 1:
         try:
-            return [_forward_walk(segments[0], rows)]
+            return [_forward_walk(segments[0], np.eye(d)).dim]
         except NotNeutralError as exc:
             return [exc]
-    n_seg, (n_rows, d) = len(segments), rows.shape
+    n_seg = len(segments)
     counts = [seg.n_events for seg in segments]
     n_max = max(counts, default=0)
     cids = [seg.cylinder_id.tolist() for seg in segments]
@@ -245,9 +253,7 @@ def _forward_walks(segments, rows: np.ndarray) -> list:
             at = (seg.cylinder_id == c).nonzero()[0]
             v_base[i, at, :len(bases[c])] = (bases[c] @ seg.v_pre[at][:, :, None])[:, :, 0]
     v_sq = (v_base[:, :, None, :] @ v_base[:, :, :, None])[:, :, 0, 0]
-    basis, images = [rows] * n_seg, [rows] * n_seg
-    advances = [np.zeros((n_rows, n)) for n in counts]
-    ranks = []  # per group and step: members, singular values, thresholds, ranks
+    images = [np.eye(d)] * n_seg
     failed: list = [None] * n_seg
     active = [i for i in range(n_seg) if counts[i]]
     for k in range(n_max):
@@ -270,41 +276,21 @@ def _forward_walks(segments, rows: np.ndarray) -> list:
             top = np.linalg.eigvalsh(image @ image.transpose(0, 2, 1))[:, -1]
             threshold = ADVANCE_ATOL * np.sqrt(np.maximum(1.0, top))
             rank = (s > threshold[:, None]).sum(axis=1)
-            ranks.append((g, s, threshold, rank))
             values = set(rank.tolist())
             for r in values:
                 at = slice(None) if len(values) == 1 else (rank == r).nonzero()[0]
-                sub, image_r, alpha_r = g[at], image[at], alpha[at]
+                sub, image_r, alpha_r = g[at].tolist(), image[at], alpha[at]
                 if r == p:
-                    for i, smallest in zip(sub.tolist(), s[at, -1].tolist()):
+                    for i, smallest in zip(sub, s[at, -1].tolist()):
                         failed[i] = NotNeutralError(k, smallest)
                     continue
                 if r:
                     keep = u[at][:, :, r:].transpose(0, 2, 1)
                     image_r, alpha_r = keep @ image_r, (keep @ alpha_r[:, :, None])[:, :, 0]
-                    for i, cut in zip(sub.tolist(), keep):
-                        basis[i], advances[i] = cut @ basis[i], cut @ advances[i]
                 images_r = image_r + alpha_r[:, :, None] * jumps[sub, k][:, None, :]
-                for i, image_i, alpha_i in zip(sub.tolist(), images_r, alpha_r):
+                for i, image_i in zip(sub, images_r):
                     images[i] = image_i
-                    advances[i][:, k] = alpha_i
-    # Rank margins over the threshold, per segment: the largest singular
-    # value treated as zero (0.0 if none) and the smallest one counted.
-    kept, dropped = np.zeros(n_seg), np.full(n_seg, np.inf)
-    by_width: dict = {}
-    for record in ranks:
-        by_width.setdefault(record[1].shape[1], []).append(record)
-    for width, records in by_width.items():
-        g, s, threshold, rank = (np.concatenate(c) for c in zip(*records))
-        at = np.arange(len(g))
-        part = rank < width
-        np.maximum.at(kept, g[part], s[at[part], rank[part]] / threshold[part])
-        part = rank > 0
-        np.minimum.at(dropped, g[part], s[at[part], rank[part] - 1] / threshold[part])
-    return [failed[i] if failed[i] is not None else NeutralSpaceResult(
-        basis=basis[i], dim=basis[i].shape[0], advances=tuple(map(tuple, advances[i].tolist())),
-        method=ADVANCE_SYSTEM, largest_kept_sv=float(kept[i]),
-        smallest_dropped_sv=float(dropped[i]) if dropped[i] < np.inf else None) for i in range(n_seg)]
+    return [failed[i] or len(images[i]) for i in range(n_seg)]
 
 
 def neutral_space_advance(segment: OrbitSegment, table: BilliardTable | None = None) -> NeutralSpaceResult:
@@ -315,10 +301,11 @@ def neutral_space_advance(segment: OrbitSegment, table: BilliardTable | None = N
     space at the segment start, each with its advance tuple, and the result
     reports how close the rank decisions came to their threshold.
     """
+    d = _segment_dim(segment, table)
     _require_nonsingular(segment)
     if not segment.n_events:
         raise EmptySequence("advance system needs at least one collision")
-    return _forward_walk(segment, np.eye((table or segment.table).dim))
+    return _forward_walk(segment, np.eye(d))
 
 
 def advance_functionals(segment: OrbitSegment, translation, table: BilliardTable | None = None) -> tuple[float, ...]:
@@ -327,7 +314,7 @@ def advance_functionals(segment: OrbitSegment, translation, table: BilliardTable
     ValueError unless ``translation`` is a finite vector of the segment's
     dimension, and NotNeutralError when a constraint residual survives.
     """
-    dim = segment.table.dim
+    dim = _segment_dim(segment, table)
     translation = np.asarray(translation, dtype=float)
     if translation.shape != (dim,) or not np.isfinite(translation).all():
         raise ValueError(f"translation must be a finite vector of length {dim}, got shape {translation.shape}")
@@ -349,8 +336,8 @@ def neutral_space_numeric(segment: OrbitSegment, table: BilliardTable | None = N
     -<normal, W_k>/cos(phi). The images stay orthonormal, so long segments
     lose no precision. A zero-collision segment returns the full space.
     """
+    d = _segment_dim(segment, table)
     _require_nonsingular(segment)
-    d = (table or segment.table).dim
     normal, cos_phi = segment.normal, segment.cos_phi.tolist()
     basis = np.eye(d)
     advances = np.zeros((d, segment.n_events))
@@ -383,11 +370,11 @@ def sufficiency(segment: OrbitSegment, table: BilliardTable | None = None,
     R^d). With ``cross_check`` the derivative-kernel method must agree on the
     dimension.
     """
+    d = _segment_dim(segment, table)
     _require_nonsingular(segment)
-    table = table or segment.table
-    witness = _forward_walk(segment, np.eye(table.dim))
+    witness = _forward_walk(segment, np.eye(d))
     if cross_check:
-        other = neutral_space_numeric(segment, table)
+        other = neutral_space_numeric(segment)
         if other.dim != witness.dim:
             raise SingularSegment(
                 f"method disagreement: advance dim {witness.dim} vs kernel dim {other.dim}"
@@ -483,7 +470,7 @@ def survey_sufficiency(table: BilliardTable, sample_count: int, duration: float,
     a singular reflection, and tests forward sufficiency within ``duration``.
     Per-sample generators are derived from (seed, sample_id), and the samples
     are drawn, evolved and walked together as one batch in which each
-    sample's result is bitwise what it gives alone. Output is therefore
+    sample's row is bitwise what it gives alone. Output is therefore
     deterministic and independent of scheduling: ``threads`` > 1 splits the
     samples into that many contiguous batches run in worker processes.
     """
@@ -518,9 +505,10 @@ def survey_sufficiency(table: BilliardTable, sample_count: int, duration: float,
 def _survey_rows(table: BilliardTable, sample_ids, *, seed: int, duration: float, mode: str,
                  max_events: int, band: float) -> list[SurveyRow]:
     """The survey rows of ``sample_ids``, a lockstep batch at a time: every
-    start drawn from its own stream, the batch evolved together and walked
-    in one grouped sweep. A start that cannot be drawn or evolved becomes
-    that sample's SAMPLE_ERROR row and leaves the others unchanged."""
+    start drawn from its own stream, the batch evolved together, and only
+    its neutral dimensions found, by ``_neutral_dims``. A start that cannot
+    be drawn, evolved or walked becomes that sample's SAMPLE_ERROR row and
+    leaves the others unchanged."""
     rows: list[SurveyRow] = []
     richness: dict = {}
     for part in _lockstep_parts(table, len(sample_ids)):
@@ -532,11 +520,11 @@ def _survey_rows(table: BilliardTable, sample_ids, *, seed: int, duration: float
             outcome[i] = seg
         walked = [i for i, seg in enumerate(outcome) if isinstance(seg, OrbitSegment)
                   and not is_singular(seg.singular_flag and seg.singular_flag.kind)]
-        verdicts = dict(zip(walked, _forward_walks([outcome[i] for i in walked], np.eye(table.dim))))
+        dims = dict(zip(walked, _neutral_dims([outcome[i] for i in walked], table.dim)))
         for i, (sample_id, seg) in enumerate(zip(batch, outcome)):
-            verdict = verdicts.get(i)
-            if isinstance(verdict, NotNeutralError):
-                seg = verdict
+            dim = dims.get(i)
+            if isinstance(dim, NotNeutralError):
+                seg = dim
             if not isinstance(seg, OrbitSegment):
                 rows.append(SurveyRow(sample_id=sample_id, seed=seed, n_collisions=0, distinct_cylinders=0,
                                       span_dim=None, codim2_ok=None, full_span=None, neutral_dim=None,
@@ -554,8 +542,8 @@ def _survey_rows(table: BilliardTable, sample_ids, *, seed: int, duration: float
                 span_dim, codim2, full = rich.span_dim, rich.codim2_ok, rich.full_span
             rows.append(SurveyRow(sample_id=sample_id, seed=seed, n_collisions=seg.n_events,
                                   distinct_cylinders=len(collided), span_dim=span_dim, codim2_ok=codim2,
-                                  full_span=full, neutral_dim=verdict and verdict.dim,
-                                  sufficient=verdict and verdict.dim == 1, singular_flag=flag))
+                                  full_span=full, neutral_dim=dim,
+                                  sufficient=None if dim is None else dim == 1, singular_flag=flag))
     return rows
 
 

@@ -754,3 +754,17 @@ class TestEndings:
             evolve_batch([x, x], sinai2, duration)
         with pytest.raises(ValueError, match="duration"):
             evolve_batch([], sinai2, duration)
+
+    @pytest.mark.parametrize("q, v", [([np.nan, 0.1], [0.6, 0.8]), ([0.5, 0.1], [np.nan, 0.8]),
+                                      ([np.inf, 0.1], [0.6, 0.8])], ids=["nan-q", "nan-v", "inf-q"])
+    def test_non_finite_start_rejected(self, sinai2, q, v):
+        # A NaN velocity has no speed to check, and a NaN or infinite start
+        # would fly every window of its duration without a hit.
+        x = PhasePoint(np.array(q), np.array(v))
+        with pytest.raises(ValueError, match=r"start 0 is not finite"):
+            evolve(x, sinai2, 1e9)
+        with pytest.raises(ValueError, match=r"start 0 is not finite"):
+            next_collision(x, sinai2, 1e9)
+        clear = random_phase_point(sinai2, np.random.default_rng(9))
+        with pytest.raises(ValueError, match=r"start 1 is not finite"):
+            evolve_batch([clear, x], sinai2, 1e9)

@@ -5,11 +5,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from cylbilliards import (
+    DimensionMismatch,
     EmptySequence,
     NotNeutralError,
     PhasePoint,
@@ -76,6 +78,15 @@ class TestNeutralSpaceAdvance:
         assert seg.singular_flag is not None
         with pytest.raises(SingularSegment):
             neutral_space_advance(seg)
+
+    def test_table_of_another_dimension_rejected(self, ortho3, split4):
+        seg = segment_with_events(ortho3, np.random.default_rng(8), 4)
+        calls = [neutral_space_advance, neutral_space_numeric, sufficiency,
+                 partial(advance_functionals, translation=seg.start.v)]
+        for call in calls:
+            with pytest.raises(DimensionMismatch, match="table has dimension 4"):
+                call(seg, table=split4)
+        assert neutral_space_advance(seg, ortho3).dim == neutral_space_advance(seg).dim
 
     def test_monotone_refinement(self, ortho3):
         # Appending collisions never increases the neutral dimension.
@@ -222,8 +233,8 @@ class TestForwardWalk:
         assert res.largest_kept_sv < 1e-3
         assert res.smallest_dropped_sv > 1e3
 
-    @pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "dense3", "split4", "hs4x2"])
-    def test_grouped_walk_equals_lone_walk(self, request, name):
+    @pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4", "hs4x2"])
+    def test_grouped_walk_equals_lone_walk(self, request, monkeypatch, name):
         table = request.getfixturevalue(name)
         rng = np.random.default_rng(17)
         segments = [evolve(random_phase_point(table, rng), table, 1e6, max_events=int(n))
@@ -231,18 +242,28 @@ class TestForwardWalk:
         segments = [seg for seg in segments if clean(seg)]
         segments.append(evolve(phase_point(segments[0].start.q, segments[0].start.v), table, 1e-9))
         segments += [_long_segment(table, 18), _long_segment(table, 19, 20)]
-        two = np.linalg.qr(rng.normal(size=(table.dim, 2)))[0].T
-        for rows in (np.eye(table.dim), rng.normal(size=(1, table.dim)), segments[0].start.v[None], two):
-            for seg, got in zip(segments, hyperbolicity._forward_walks(segments, rows)):
+
+        def failures():
+            """Segments whose walks raise; every other dimension must be
+            the lone walk's from I_d, and every error its error."""
+            failed = 0
+            for seg, got in zip(segments, hyperbolicity._neutral_dims(segments, table.dim)):
                 try:
-                    want = hyperbolicity._forward_walk(seg, rows)
+                    want = hyperbolicity._forward_walk(seg, np.eye(table.dim)).dim
                 except NotNeutralError as exc:
                     assert (type(got), got.event_index, got.residual) == (NotNeutralError, exc.event_index,
                                                                           exc.residual)
+                    failed += 1
                     continue
-                assert got.basis.tobytes() == want.basis.tobytes() and got.advances == want.advances
-                assert (got.largest_kept_sv, got.smallest_dropped_sv) == (want.largest_kept_sv,
-                                                                          want.smallest_dropped_sv)
+                assert type(got) is int and got == want
+            return failed
+
+        assert failures() == 0
+        # Below zero every singular value counts, so each collision cuts as
+        # many rows as its base has dimensions and the walks fail once too
+        # few rows are left.
+        monkeypatch.setattr(hyperbolicity, "ADVANCE_ATOL", -1.0)
+        assert failures() > 0
 
     @pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4", "hs4x2"])
     def test_walk_equals_reference(self, request, name):
