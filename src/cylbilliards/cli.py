@@ -26,7 +26,6 @@ from .errors import (
     RadiusTooLarge,
     SingularityEncountered,
     SingularSegment,
-    StartsInsideScatterer,
     TableFormatError,
 )
 from .flow import PhasePoint, evolve, is_singular, random_phase_point
@@ -74,8 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-        p.add_argument("--threads", type=int, default=1, help="worker processes (survey)")
+        if name != "analyze":
+            p.add_argument("--seed", type=int, default=None, help="override scenario seed")
+        if name == "survey":
+            p.add_argument("--threads", type=int, default=1, help="worker processes")
     return parser
 
 
@@ -254,16 +255,12 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
     except TableFormatError as exc:
         return _diag(EXIT_INPUT, str(exc), field=exc.field)
-    except _VALIDATION_ERRORS as exc:
-        return _diag(EXIT_VALIDATION, str(exc))
-    except ValueError as exc:
+    except (*_VALIDATION_ERRORS, ValueError) as exc:
         return _diag(EXIT_VALIDATION, str(exc))
     try:
         return _COMMANDS[args.command](scenario, args)
     except TableFormatError as exc:
         return _diag(EXIT_INPUT, str(exc), field=exc.field)
-    except StartsInsideScatterer as exc:
-        return _diag(EXIT_VALIDATION, str(exc))
     except CylBilliardsError as exc:
         return _diag(EXIT_VALIDATION, str(exc))
 

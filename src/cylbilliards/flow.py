@@ -409,9 +409,11 @@ def next_collision(x: PhasePoint, table: BilliardTable, t_max: float) -> Collisi
     Raises StartsInsideScatterer when x sits strictly inside a cylinder. A
     start on a scatterer with inward radial velocity is reflected first, as
     in ``evolve``, whose first event this is. Grazing and near-double
-    candidates are flagged inside the returned event. Raises ValueError for
-    a start with a NaN or infinite entry.
+    candidates are flagged inside the returned event. Raises ValueError
+    unless t_max >= 0 and the start is finite and of unit speed.
     """
+    if not t_max >= 0:
+        raise ValueError(f"t_max = {t_max} is not >= 0")
     ft = flight_table(table)
     q = np.asarray(x.q, dtype=float)[None]
     v, (error,) = _start_velocities(ft, q, np.asarray(x.v, dtype=float)[None])
@@ -432,12 +434,18 @@ def _start_velocities(ft: _FlightTable, q: np.ndarray, v: np.ndarray) -> tuple[n
     velocity is reflected, so that time reversal at a collision endpoint
     retraces the orbit instead of tunneling through the tube. Raises
     ValueError naming the first start with a NaN or infinite entry, which
-    would fly every window of its duration and end nowhere."""
+    would fly every window of its duration and end nowhere, and then the
+    first start whose speed is not 1."""
     v = np.array(v, dtype=float)
     bad = ~(np.isfinite(q).all(axis=1) & np.isfinite(v).all(axis=1))
     if bad.any():
         i = int(bad.argmax())
         raise ValueError(f"start {i} is not finite: q = {q[i]}, v = {v[i]}")
+    speed = np.linalg.norm(v, axis=1)
+    bad = np.abs(speed - 1.0) > 1e-9
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"start {i}: |v| = {speed[i]} is not 1")
     errors: list = [None] * len(q)
     dists = ft.axis_distances(q)
     # The points within twice the tolerance of a scatterer, then the tests.
@@ -468,7 +476,8 @@ def evolve(x: PhasePoint, table: BilliardTable, duration: float,
     double) or when max_events is reached; the flag records which. Positions
     are re-reduced to [0,1)^d after every flight, and the covering-space
     endpoint is tracked separately for derivative checks. Raises ValueError
-    unless duration >= 0, max_events >= 1 and the start is finite.
+    unless duration >= 0, max_events >= 1 and the start is finite and of
+    unit speed.
     """
     (segment,) = evolve_batch([x], table, duration, max_events)
     if isinstance(segment, StartsInsideScatterer):
@@ -483,17 +492,14 @@ def evolve_batch(starts, table: BilliardTable, duration: float,
     Returns one entry per start: its OrbitSegment, bitwise equal to what
     ``evolve`` gives for that start alone, or the StartsInsideScatterer the
     start raises when it sits strictly inside a cylinder, which leaves the
-    other starts unaffected. A NaN or infinite start raises ValueError.
+    other starts unaffected. A NaN, infinite or non-unit-speed start raises
+    ValueError.
     """
     if max_events < 1:
         raise ValueError(f"max_events = {max_events} is below 1")
     if not duration >= 0:
         raise ValueError(f"duration = {duration} is not >= 0")
     starts = list(starts)
-    for x in starts:
-        speed = float(np.linalg.norm(x.v))
-        if abs(speed - 1.0) > 1e-9:
-            raise ValueError(f"|v| = {speed} is not 1")
     d = table.dim
     q = np.array([x.q for x in starts], dtype=float).reshape(-1, d)
     v = np.array([x.v for x in starts], dtype=float).reshape(-1, d)

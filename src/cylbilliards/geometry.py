@@ -30,15 +30,7 @@ from .errors import (
     UnknownCylinderIndex,
 )
 from .lattice import ProjectedLattice, hermite_generating_rows
-from .linalg import (
-    SPAN_RTOL,
-    as_matrix,
-    float_rank,
-    nullspace,
-    orthonormal_basis,
-    integer_nullspace,
-    rational_rank,
-)
+from .linalg import as_matrix, integer_nullspace, rational_rank, span_split
 
 # Tri-state validation flags.
 HOLDS = "holds"
@@ -81,18 +73,9 @@ class LatticeSubspace:
                     f"basis vector has length {len(row)}, expected {ambient_dim}"
                 )
             rows.append(row)
-        if rows:
-            rank = rational_rank(rows)
-            if rank != len(rows):
-                raise DependentBasis("integer basis vectors are dependent over Q")
-            mat = as_matrix(rows, ambient_dim)
-            _, _, vt = np.linalg.svd(mat)
-            ortho = vt[:rank]
-            complement = vt[rank:]
-        else:
-            ortho = np.zeros((0, ambient_dim))
-            complement = np.eye(ambient_dim)
-        return cls(ambient_dim, tuple(rows), ortho, complement)
+        if rational_rank(rows) != len(rows):
+            raise DependentBasis("integer basis vectors are dependent over Q")
+        return cls(ambient_dim, tuple(rows), *span_split(as_matrix(rows, ambient_dim), len(rows)))
 
 
 def orthocomplement(basis, dim: int) -> np.ndarray:
@@ -102,13 +85,8 @@ def orthocomplement(basis, dim: int) -> np.ndarray:
     an exact rank so the returned count is always d - rank.
     """
     mat = as_matrix(basis, dim)
-    if mat.shape[0] == 0:
-        return np.eye(dim)
-    if _is_integral(mat):
-        rank = rational_rank(mat.astype(int).tolist())
-    else:
-        rank = float_rank(mat, rtol=SPAN_RTOL)
-    return nullspace(mat, rank=rank)
+    rank = rational_rank(mat.astype(int).tolist()) if _is_integral(mat) else None
+    return span_split(mat, rank)[1]
 
 
 def _is_integral(mat: np.ndarray) -> bool:
@@ -286,7 +264,7 @@ def transitivity_report(subspaces, dim: int | None = None) -> TransitivityReport
             int_bases.append([list(r) for r in sub.integer_basis])
         else:
             mat = as_matrix(sub, dim)
-            bases.append(orthonormal_basis(mat, rtol=SPAN_RTOL))
+            bases.append(span_split(mat)[0])
             int_bases.append(mat.astype(int).tolist() if _is_integral(mat) else None)
     if not bases:
         raise ValueError("need at least one subspace")
@@ -309,19 +287,16 @@ def transitivity_report(subspaces, dim: int | None = None) -> TransitivityReport
             adjacency[i][j] = adjacency[j][i] = touching
     components = _connected_components(adjacency)
 
-    stacked = np.vstack(bases)
     if exact:
         span_dim = rational_rank([row for ib in int_bases for row in ib])
     else:
-        span_dim = float_rank(stacked, rtol=SPAN_RTOL)
+        span_dim = len(span_split(np.vstack(bases))[0])
     onsp = len(components) == 1 and span_dim == d
 
     witness = None
     if not onsp:
-        first = components[0]
-        b1 = orthonormal_basis(np.vstack([bases[i - 1] for i in first]), rtol=SPAN_RTOL)
-        b2 = nullspace(b1, rtol=SPAN_RTOL)
-        witness = (b1, b2)
+        b1 = span_split(np.vstack([bases[i - 1] for i in components[0]]))[0]
+        witness = (b1, span_split(b1)[1])
     return TransitivityReport(
         span_dim=span_dim,
         generator_intersection_dim=d - span_dim,

@@ -35,7 +35,7 @@ from .errors import DimensionMismatch, EmptySequence, NotNeutralError, SingularS
 from .flow import (OrbitSegment, PhasePoint, _random_starts, evolve_batch, flight_table, is_singular,
                    _lockstep_parts)
 from .geometry import BilliardTable, base_ranks
-from .linalg import nullspace, orthonormal_basis
+from .linalg import span_split
 from .tangent import BLOCK, transport
 
 ADVANCE_SYSTEM = "advance_system"
@@ -97,10 +97,14 @@ def _require_nonsingular(segment: OrbitSegment) -> None:
 
 
 def _segment_dim(segment: OrbitSegment, table: BilliardTable | None) -> int:
-    """The segment's dimension; the walks read its table's cylinders."""
+    """The segment's dimension; the walks read its table's cylinders. Raises
+    DimensionMismatch for a ``table`` of another dimension, and ValueError
+    for one whose cylinders are not those of the segment's table."""
     d = segment.table.dim
     if table is not None and table.dim != d:
         raise DimensionMismatch(f"table has dimension {table.dim}, the segment's table {d}")
+    if table is not None and table.cylinders != segment.table.cylinders:
+        raise ValueError("table has other cylinders than the segment's table")
     return d
 
 
@@ -362,23 +366,15 @@ def neutral_space_numeric(segment: OrbitSegment, table: BilliardTable | None = N
                               smallest_dropped_sv=min(dropped, default=None))
 
 
-def sufficiency(segment: OrbitSegment, table: BilliardTable | None = None,
-                cross_check: bool = False) -> SufficiencyVerdict:
+def sufficiency(segment: OrbitSegment, table: BilliardTable | None = None) -> SufficiencyVerdict:
     """Sufficiency (geometric hyperbolicity): neutral space of minimal dim 1.
 
     Zero-collision segments are never sufficient (the neutral space is all of
-    R^d). With ``cross_check`` the derivative-kernel method must agree on the
-    dimension.
+    R^d).
     """
     d = _segment_dim(segment, table)
     _require_nonsingular(segment)
     witness = _forward_walk(segment, np.eye(d))
-    if cross_check:
-        other = neutral_space_numeric(segment)
-        if other.dim != witness.dim:
-            raise SingularSegment(
-                f"method disagreement: advance dim {witness.dim} vs kernel dim {other.dim}"
-            )
     return SufficiencyVerdict(sufficient=witness.dim == 1, neutral_dim=witness.dim,
                               witness=witness)
 
@@ -417,9 +413,7 @@ def span_decomposition(symbolic, table: BilliardTable) -> SpanDecomposition:
     collided = tuple(sorted(set(symbolic)))
     rows = [row for s in collided for row in table.cylinder(s).base.integer_basis]
     rank = base_ranks(table).span_dim(collided)
-    stacked = np.array(rows, dtype=float)
-    l_star = orthonormal_basis(stacked, rank=rank)
-    a_star = nullspace(stacked, rank=rank)
+    l_star, a_star = span_split(np.array(rows, dtype=float), rank)
     return SpanDecomposition(l_star=l_star, a_star=a_star, is_full=a_star.shape[0] == 0)
 
 
@@ -461,13 +455,14 @@ class SurveyResult:
 
 def survey_sufficiency(table: BilliardTable, sample_count: int, duration: float,
                        seed: int, mode: str = GENERIC, max_events: int = 10_000,
-                       tangency_band: float = TANGENCY_BAND, threads: int = 1) -> SurveyResult:
+                       threads: int = 1) -> SurveyResult:
     """Classify sampled orbit segments by richness and sufficiency.
 
     generic mode samples phase points uniformly (positions rejection-sampled
     outside the scatterers); ansatz mode starts on scatterer boundaries with
-    outgoing velocities in a near-tangency band, proxying points freshly past
-    a singular reflection, and tests forward sufficiency within ``duration``.
+    outgoing velocities whose cos(phi) lies in (0, TANGENCY_BAND), proxying
+    points freshly past a singular reflection, and tests forward sufficiency
+    within ``duration``.
     Per-sample generators are derived from (seed, sample_id), and the samples
     are drawn, evolved and walked together as one batch in which each
     sample's row is bitwise what it gives alone. Output is therefore
@@ -483,7 +478,7 @@ def survey_sufficiency(table: BilliardTable, sample_count: int, duration: float,
     if max_events < 1:
         raise ValueError(f"max_events = {max_events} is below 1")
     work = partial(_survey_rows, table, seed=seed, duration=duration, mode=mode,
-                   max_events=max_events, band=tangency_band)
+                   max_events=max_events)
     ids = range(sample_count)
     if threads > 1 and sample_count > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -503,7 +498,7 @@ def survey_sufficiency(table: BilliardTable, sample_count: int, duration: float,
 
 
 def _survey_rows(table: BilliardTable, sample_ids, *, seed: int, duration: float, mode: str,
-                 max_events: int, band: float) -> list[SurveyRow]:
+                 max_events: int) -> list[SurveyRow]:
     """The survey rows of ``sample_ids``, a lockstep batch at a time: every
     start drawn from its own stream, the batch evolved together, and only
     its neutral dimensions found, by ``_neutral_dims``. A start that cannot
@@ -514,7 +509,7 @@ def _survey_rows(table: BilliardTable, sample_ids, *, seed: int, duration: float
     for part in _lockstep_parts(table, len(sample_ids)):
         batch = sample_ids[part]
         rngs = [np.random.default_rng([seed, i]) for i in batch]
-        outcome = _random_starts(table, rngs) if mode == GENERIC else _tangency_starts(table, rngs, band)
+        outcome = _random_starts(table, rngs) if mode == GENERIC else _tangency_starts(table, rngs)
         drawn = [i for i, x in enumerate(outcome) if isinstance(x, PhasePoint)]
         for i, seg in zip(drawn, evolve_batch([outcome[i] for i in drawn], table, duration, max_events=max_events)):
             outcome[i] = seg
@@ -547,10 +542,10 @@ def _survey_rows(table: BilliardTable, sample_ids, *, seed: int, duration: float
     return rows
 
 
-def _tangency_starts(table: BilliardTable, rngs, band: float, max_tries: int = 200) -> list:
+def _tangency_starts(table: BilliardTable, rngs) -> list:
     """Per generator, a post-collision point on a scatterer boundary with
-    cos(phi) in (0, band), or the RuntimeError of a stream that finds none
-    in ``max_tries`` tries. Each stream is consumed exactly as a lone draw
+    cos(phi) in (0, TANGENCY_BAND), or the RuntimeError of a stream that
+    finds none in 200 tries. Each stream is consumed exactly as a lone draw
     would consume it; every round checks the pending positions with one
     stacked axis_gaps."""
     ft = flight_table(table)
@@ -577,14 +572,14 @@ def _tangency_starts(table: BilliardTable, rngs, band: float, max_tries: int = 2
             tries[i] += 1
             if np.delete(clear, idx).all():
                 rng = rngs[i]
-                cos_phi = band * rng.random()
+                cos_phi = TANGENCY_BAND * rng.random()
                 tangent = rng.normal(size=table.dim)
                 tangent -= (tangent @ normal) * normal
                 norm = np.linalg.norm(tangent)
                 if norm >= 1e-12 and cos_phi > 0.0:
                     starts[i] = PhasePoint(q, cos_phi * normal + np.sqrt(1.0 - cos_phi**2) * (tangent / norm))
                     continue
-            if tries[i] < max_tries:
+            if tries[i] < 200:
                 retry.append(i)
             else:
                 starts[i] = RuntimeError("could not sample a clear near-tangency boundary point")

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded
-from .linalg import integer_nullspace, integer_rref
+from .linalg import integer_nullspace, integer_rref, span_split
 
 
 def hermite_generating_rows(mat: list[list[int]]) -> list[list[int]]:
@@ -88,7 +88,7 @@ def _rounding_radius(basis: np.ndarray) -> float:
     return 0.5 * float(np.max(np.linalg.norm(signs @ basis, axis=1)))
 
 
-def lll_reduce(basis: list[list[Fraction]], delta: Fraction = Fraction(3, 4)) -> list[list[Fraction]]:
+def lll_reduce(basis: list[list[Fraction]]) -> list[list[Fraction]]:
     """Exact LLL reduction of independent rational basis rows.
 
     Runs on the rows scaled to integers, which changes no decision, with the
@@ -96,7 +96,7 @@ def lll_reduce(basis: list[list[Fraction]], delta: Fraction = Fraction(3, 4)) ->
     Number Theory, Alg. 2.6.7): d[i] is the Gram determinant of the first i
     rows and lam[k][j] = d[j+1] * mu[k][j], both integers. Each row is size
     reduced against every earlier row (mu rounded half to even) before the
-    Lovasz test with ``delta``.
+    Lovasz test with delta = 3/4.
     """
     b, scale = integer_rows(basis)
     n = len(b)
@@ -121,7 +121,7 @@ def lll_reduce(basis: list[list[Fraction]], delta: Fraction = Fraction(3, 4)) ->
                 for i in range(j):
                     lam[k][i] -= q * lam[j][i]
         lk = lam[k][k - 1]
-        if delta.denominator * (d[k + 1] * d[k - 1] + lk * lk) >= delta.numerator * d[k] * d[k]:
+        if 4 * (d[k + 1] * d[k - 1] + lk * lk) >= 3 * d[k] * d[k]:
             k += 1
             continue
         b[k], b[k - 1] = b[k - 1], b[k]
@@ -253,8 +253,6 @@ class ProjectedLattice:
     def from_generator(cls, generator_rows: list[list[int]], dim: int,
                        subspace_onb: np.ndarray | None = None) -> "ProjectedLattice":
         """Lattice P_L(Z^d) for L = (span of integer generator rows)^perp."""
-        from .linalg import orthonormal_basis
-
         gens = hermite_generating_rows([[int(x) for x in row] for row in generator_rows])
         if not gens:
             basis = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
@@ -275,7 +273,7 @@ class ProjectedLattice:
         if subspace_onb is None:
             # S with a 1 in each row's free column, its last nonzero entry.
             unit = [[x / next(y for y in reversed(row) if y) for x in row] for row in sub]
-            subspace_onb = orthonormal_basis(np.array(unit), rank=m)
+            subspace_onb = span_split(np.array(unit), m)[0]
         return cls(ambient, subspace_onb)
 
     def to_coords(self, vec: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
-"""Small dense linear algebra: SVD-based spans/kernels and exact rational ranks.
+"""Small dense linear algebra: the SVD split of a float span and exact
+rational ranks.
 
-Float routines use a relative singular-value threshold; routines on integer
-input are exact, so that rank decisions never depend on conditioning: they
-run fraction-free on Python integers.
+A float span is split by one SVD with a relative singular-value threshold;
+routines on integer input are exact, so that rank decisions never depend on
+conditioning: they run fraction-free on Python integers.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ import operator
 
 import numpy as np
 
-# Singular values below RANK_RTOL * s_max count as zero (float paths).
-RANK_RTOL = 1e-8
-# Looser threshold used for span/orthogonality decisions on integer-derived data.
+# Singular values up to SPAN_RTOL * s_max count as zero in float span decisions.
 SPAN_RTOL = 1e-10
 
 
@@ -31,41 +30,20 @@ def as_matrix(vectors, dim: int | None = None) -> np.ndarray:
     return mat
 
 
-def float_rank(mat: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+def span_split(mat: np.ndarray, rank: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows spanning the row space of the (k, d) matrix ``mat``
+    and orthonormal rows spanning its orthocomplement in R^d, from one SVD.
 
-
-def orthonormal_basis(mat: np.ndarray, rtol: float = RANK_RTOL, rank: int | None = None) -> np.ndarray:
-    """Orthonormal rows spanning the row space of ``mat``.
-
-    ``rank`` overrides the SVD threshold when the caller knows the exact rank
-    (e.g. from a rational computation).
+    The rank is ``rank`` when the caller knows it exactly (e.g. from a
+    rational computation), else the number of singular values above
+    SPAN_RTOL * s_max. An empty matrix splits as (no rows, I_d).
     """
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0:
-        return np.zeros((0, mat.shape[1]))
+        return np.zeros((0, mat.shape[1])), np.eye(mat.shape[1])
     _, s, vt = np.linalg.svd(mat)
-    r = rank if rank is not None else int(np.sum(s > rtol * s[0])) if s[0] > 0 else 0
-    return vt[:r]
-
-
-def nullspace(mat: np.ndarray, rtol: float = RANK_RTOL, rank: int | None = None) -> np.ndarray:
-    """Orthonormal rows spanning the right null space of ``mat``."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    d = mat.shape[1]
-    if mat.size == 0:
-        return np.eye(d)
-    _, s, vt = np.linalg.svd(mat, full_matrices=True)
-    if rank is not None:
-        r = rank
-    else:
-        r = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
-    return vt[r:]
+    if rank is None:
+        rank = int(np.count_nonzero(s > SPAN_RTOL * s[0]))
+    return vt[:rank], vt[rank:]
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .flow import (
     random_phase_point,
 )
 from .geometry import BilliardTable
+from .linalg import span_split
 
 # Events per block of the stacked collision algebra.
 BLOCK = 64
@@ -282,7 +283,7 @@ def lyapunov_spectrum(x: PhasePoint | None, table: BilliardTable, duration: floa
     d = table.dim
     m = 2 * d - 2
     # Orthonormal rows spanning the hyperplane orthogonal to v.
-    basis = np.linalg.svd(x.v[None, :] / np.linalg.norm(x.v))[2][1:]
+    basis = span_split(x.v[None, :] / np.linalg.norm(x.v), 1)[1]
     frame = np.zeros((m, 2 * d))
     frame[:d - 1, :d] = frame[d - 1:, d:] = basis
     frame = np.linalg.qr(np.random.default_rng([seed, 1]).normal(size=(m, m)))[0] @ frame

@@ -754,6 +754,8 @@ class TestEndings:
             evolve_batch([x, x], sinai2, duration)
         with pytest.raises(ValueError, match="duration"):
             evolve_batch([], sinai2, duration)
+        with pytest.raises(ValueError, match="t_max"):
+            next_collision(x, sinai2, duration)
 
     @pytest.mark.parametrize("q, v", [([np.nan, 0.1], [0.6, 0.8]), ([0.5, 0.1], [np.nan, 0.8]),
                                       ([np.inf, 0.1], [0.6, 0.8])], ids=["nan-q", "nan-v", "inf-q"])
@@ -768,3 +770,15 @@ class TestEndings:
         clear = random_phase_point(sinai2, np.random.default_rng(9))
         with pytest.raises(ValueError, match=r"start 1 is not finite"):
             evolve_batch([clear, x], sinai2, 1e9)
+
+    def test_non_unit_speed_rejected(self, sinai2):
+        # Both paths check the start velocities; a non-unit speed would give
+        # an event with cos(phi) > 1.
+        x = PhasePoint(np.array([0.5, 0.1]), np.array([2.0, 0.6]))
+        with pytest.raises(ValueError, match=r"start 0: \|v\| = 2\.088\d* is not 1"):
+            evolve(x, sinai2, 5.0)
+        with pytest.raises(ValueError, match=r"start 0: \|v\| = 2\.088\d* is not 1"):
+            next_collision(x, sinai2, 5.0)
+        clear = random_phase_point(sinai2, np.random.default_rng(9))
+        with pytest.raises(ValueError, match=r"start 1: \|v\|"):
+            evolve_batch([clear, x], sinai2, 5.0)

@@ -88,6 +88,19 @@ class TestNeutralSpaceAdvance:
                 call(seg, table=split4)
         assert neutral_space_advance(seg, ortho3).dim == neutral_space_advance(seg).dim
 
+    def test_table_of_other_cylinders_rejected(self, ortho3, skew3):
+        # Every call walks the segment's own cylinders, so a table with
+        # others would be ignored without the check.
+        seg = segment_with_events(ortho3, np.random.default_rng(8), 4)
+        calls = [neutral_space_advance, neutral_space_numeric, sufficiency,
+                 partial(advance_functionals, translation=seg.start.v)]
+        for call in calls:
+            with pytest.raises(ValueError, match="table has other cylinders"):
+                call(seg, table=skew3)
+        again = validate_table(build_table(seg.table.cylinders))
+        for call in calls:
+            call(seg, table=again)
+
     def test_monotone_refinement(self, ortho3):
         # Appending collisions never increases the neutral dimension.
         rng = np.random.default_rng(2)
@@ -380,8 +393,8 @@ class TestSufficiency:
     def test_cross_checked_verdict(self, ortho3):
         rng = np.random.default_rng(10)
         seg = segment_with_events(ortho3, rng, 5)
-        verdict = sufficiency(seg, cross_check=True)
-        assert verdict.neutral_dim == verdict.witness.dim
+        verdict = sufficiency(seg)
+        assert neutral_space_numeric(seg).dim == verdict.neutral_dim == verdict.witness.dim
 
 
 class TestRichness:
@@ -535,7 +548,7 @@ class TestSurvey:
         for row in rows:
             rng = np.random.default_rng([29, row.sample_id])
             x = random_phase_point(ortho3, rng) if mode == "generic" else \
-                hyperbolicity._tangency_starts(ortho3, [rng], hyperbolicity.TANGENCY_BAND)[0]
+                hyperbolicity._tangency_starts(ortho3, [rng])[0]
             seg = evolve(x, ortho3, 15.0, max_events=12)
             assert row.n_collisions == seg.n_events
             assert row.singular_flag == (seg.singular_flag.kind if seg.singular_flag else "none")

@@ -387,6 +387,16 @@ class TestCli:
         assert [code for code, _, _ in cached] == [0, 0, 0, 0, 0, 0, 2, 0]
         assert cached[2][1].out.strip() == __version__
 
+    @pytest.mark.parametrize("argv", [["analyze", "--seed", "3", "--threads", "9"], ["simulate", "--threads", "2"]],
+                             ids=["analyze", "simulate"])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys, argv):
+        scen = _write_scenario(tmp_path, "s.json", {"seed": 2, "duration": 6.0})
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--scenario", scen, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_validation_failure_exit_2(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"table": {"dimension": 2, "cylinders": [

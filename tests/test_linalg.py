@@ -1,14 +1,17 @@
-"""Exact integer elimination against a rational row-reduction oracle."""
+"""Exact integer elimination against a rational row-reduction oracle, and
+the SVD split of float spans."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylbilliards.linalg import integer_nullspace, integer_rref, rational_rank
+from cylbilliards.linalg import SPAN_RTOL, integer_nullspace, integer_rref, rational_rank, span_split
 
 
 def fraction_rref(mat):
@@ -78,3 +81,45 @@ class TestIntegerElimination:
             assert [Fraction(x, vec[fc]) for x in vec] == unit
             assert vec[fc] > 0 and max(i for i, x in enumerate(vec) if x) == fc
             assert math.gcd(*vec) == 1
+
+
+def assert_split(rows, complement, d):
+    """Orthonormal rows and complement that together fill R^d."""
+    assert len(rows) + len(complement) == d
+    both = np.vstack([rows, complement])
+    assert np.allclose(both @ both.T, np.eye(d), rtol=0, atol=1e-12)
+    assert np.allclose(rows @ complement.T, 0.0, rtol=0, atol=1e-12)
+
+
+class TestSpanSplit:
+    @pytest.mark.parametrize("offset, rank", [(1e-13, 2), (1e-6, 3)])
+    def test_rank_decided_by_threshold(self, offset, rank):
+        # The third row is the sum of the first two plus an offset, which
+        # counts only when it stays above SPAN_RTOL relative to s_max.
+        a, b = np.random.default_rng(3).normal(size=(2, 5))
+        mat = np.array([a, b, a + b + offset * np.eye(5)[0]])
+        s = np.linalg.svd(mat, compute_uv=False)
+        assert (s[2] > SPAN_RTOL * s[0]) == (rank == 3)
+        rows, complement = span_split(mat)
+        assert len(rows) == rank
+        assert_split(rows, complement, 5)
+        assert np.allclose(mat @ complement.T, 0.0, rtol=0, atol=10 * offset)
+
+    def test_rank_override(self):
+        mat = np.random.default_rng(4).normal(size=(3, 4))
+        rows, complement = span_split(mat, 1)
+        assert rows.shape == (1, 4) and complement.shape == (3, 4)
+        assert_split(rows, complement, 4)
+        full_rows, full_complement = span_split(mat)
+        assert np.array_equal(rows, full_rows[:1])
+        assert np.array_equal(complement[2:], full_complement)
+
+    def test_empty_input(self):
+        rows, complement = span_split(np.zeros((0, 3)))
+        assert rows.shape == (0, 3)
+        assert np.array_equal(complement, np.eye(3))
+
+    def test_zero_matrix_has_rank_zero(self):
+        rows, complement = span_split(np.zeros((2, 3)))
+        assert rows.shape == (0, 3)
+        assert_split(rows, complement, 3)
