@@ -52,10 +52,15 @@ INSIDE_TOL = 1e-10
 # A lockstep batch holds per trajectory arrays the size of the table's
 # stacked offset ball (rows x stacked base dimension), so batches, and the
 # samples a survey holds at once, are cut into equal parts of at most this
-# many ball entries: up to 20 trajectories on ortho3 (200 entries), one on
-# wide5 (43 616), where batches of 4 ran 1.6x slower than lone trajectories
-# and a batch of 48 raised the peak resident memory by 13.6 MB.
-LOCKSTEP_ENTRIES = 2**12
+# many ball entries. 2^15 is the largest power of two that keeps wide5
+# (43 616 entries) lone, where batches of 4 ran 1.6x slower than lone
+# trajectories; the other benchmark tables batch 18 (hs4x2, 1 800 entries)
+# to 655 (sinai2, 50) trajectories. On a 2-core host with one BLAS thread a
+# survey sample cost less the larger its batch, up to this cap: ortho3
+# 1.32 ms at 16, 0.51 ms at 163; hs4x2 4.29 ms in pairs, 3.57 ms lone,
+# 1.85 ms at 18. A 2 000-sample sinai2 survey raised the peak resident
+# memory by 6 MB.
+LOCKSTEP_ENTRIES = 2**15
 
 BUDGET_EXCEEDED = "budget_exceeded"
 TANGENTIAL = "tangential"

@@ -85,12 +85,17 @@ def orthocomplement(basis, dim: int) -> np.ndarray:
     an exact rank so the returned count is always d - rank.
     """
     mat = as_matrix(basis, dim)
-    rank = rational_rank(mat.astype(int).tolist()) if _is_integral(mat) else None
-    return span_split(mat, rank)[1]
+    rows = _integer_rows(mat)
+    return span_split(mat, None if rows is None else rational_rank(rows))[1]
 
 
-def _is_integral(mat: np.ndarray) -> bool:
-    return bool(np.all(mat == np.rint(mat)))
+def _integer_rows(mat: np.ndarray) -> list[list[int]] | None:
+    """The rows of ``mat`` as Python integers when every entry is a finite
+    integral float, else None. ``int`` is exact on any integral float, where
+    a cast to a fixed-width integer wraps past 2^63."""
+    if not np.all(np.isfinite(mat) & (mat == np.rint(mat))):
+        return None
+    return [[int(x) for x in row] for row in mat.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +270,7 @@ def transitivity_report(subspaces, dim: int | None = None) -> TransitivityReport
         else:
             mat = as_matrix(sub, dim)
             bases.append(span_split(mat)[0])
-            int_bases.append(mat.astype(int).tolist() if _is_integral(mat) else None)
+            int_bases.append(_integer_rows(mat))
     if not bases:
         raise ValueError("need at least one subspace")
     d = bases[0].shape[1] if dim is None else dim

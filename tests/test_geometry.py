@@ -187,6 +187,14 @@ class TestTransitivity:
             assert report.graph_components == ((1, 2),)
             assert report.span_dim == 2 and not report.transitive
 
+    def test_integral_floats_past_int64_are_exact(self):
+        # 1e19 and 2e19 are integral but exceed 2^63: the lines are
+        # orthogonal, and [1e19, 2e19] and [1, 2] span one line.
+        report = transitivity_report([[[1e19, 2e19]], [[2, -1]]], 2)
+        assert not report.transitive and report.span_dim == 2
+        assert report.graph_components == ((1,), (2,))
+        assert orthocomplement([[1e19, 2e19], [1, 2]], 2).shape == (1, 2)
+
     def test_against_exhaustive_oracle_random_systems(self):
         rng = np.random.default_rng(2024)
         for _ in range(60):

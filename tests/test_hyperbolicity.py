@@ -542,6 +542,22 @@ class TestSurvey:
             assert [dataclasses.asdict(r) for r in survey_sufficiency(skew3, n, 15.0, seed=23, mode=mode).rows] == \
                 [dataclasses.asdict(r) for r in full[:n]]
 
+    @pytest.mark.parametrize("name, mode", [("ortho3", "generic"), ("skew3", "ansatz"), ("hs4x2", "generic")])
+    def test_rows_do_not_depend_on_the_batch_cut(self, request, monkeypatch, name, mode):
+        from cylbilliards import flow
+
+        table = request.getfixturevalue(name)
+
+        def rows():
+            return [dataclasses.asdict(r) for r in survey_sufficiency(table, 12, 15.0, seed=31, mode=mode).rows]
+
+        default = rows()
+        entries = flow.flight_table(table).offsets.size
+        # Lone trajectories, then batches of at most two and at most five.
+        for cap in (1, 2 * entries, 5 * entries):
+            monkeypatch.setattr(flow, "LOCKSTEP_ENTRIES", cap)
+            assert rows() == default
+
     @pytest.mark.parametrize("mode", ["generic", "ansatz"])
     def test_rows_equal_per_sample_reference(self, ortho3, mode):
         rows = survey_sufficiency(ortho3, 24, 15.0, seed=29, mode=mode, max_events=12).rows
