@@ -180,6 +180,7 @@ def cmd_sufficiency(scenario: Scenario, args) -> int:
         "neutral_basis": np.round(verdict.witness.basis, 15).tolist(),
         "advances": [list(a) for a in verdict.witness.advances],
         "method": verdict.witness.method,
+        "decided_collisions": verdict.witness.decided,
         "largest_kept_sv": verdict.witness.largest_kept_sv,
         "smallest_dropped_sv": verdict.witness.smallest_dropped_sv,
         "n_collisions": segment.n_events,

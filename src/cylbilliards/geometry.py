@@ -194,14 +194,16 @@ class BilliardTable:
 
 class BaseRanks:
     """Exact ranks of a table's base spaces, each computed once: every pair
-    intersection dimension up front and the span dimension of a set of
-    cylinders on first request. Cylinder indices are 1-based, matching
-    symbolic sequences."""
+    intersection dimension up front, and the span dimension and trivially
+    neutral dimension of a set of cylinders on first request. Cylinder
+    indices are 1-based, matching symbolic sequences."""
 
     def __init__(self, cylinders):
+        self._dim = cylinders[0].ambient_dim
         self._bases = {i: [list(r) for r in c.base.integer_basis]
                        for i, c in enumerate(cylinders, start=1)}
         self._span_dims: dict[tuple[int, ...], int] = {}
+        self._trivial_dims: dict[tuple[int, ...], int] = {}
         # dim(A ∩ B) = dim A + dim B - dim(A + B); integer bases are independent.
         self.pair_dims = {(a, b): len(self._bases[a]) + len(self._bases[b]) - self.span_dim((a, b))
                           for a, b in itertools.combinations(self._bases, 2)}
@@ -211,6 +213,21 @@ class BaseRanks:
         dim = self._span_dims.get(indices)
         if dim is None:
             dim = self._span_dims[indices] = rational_rank([row for i in indices for row in self._bases[i]])
+        return dim
+
+    def trivial_neutral_dim(self, indices: tuple[int, ...]) -> int:
+        """dim T = m + d - span_dim for a segment that visits exactly these
+        cylinders (sorted), where m counts the components of their
+        non-orthogonality graph. T, spanned by the projection of the
+        velocity onto each component's span and by the complement of the
+        whole span, is exactly neutral, so no segment's neutral space is
+        smaller."""
+        dim = self._trivial_dims.get(indices)
+        if dim is None:
+            bases = [self._bases[i] for i in indices]
+            adjacency = [[not _orthogonal(a, b) for b in bases] for a in bases]
+            dim = self._trivial_dims[indices] = (len(_connected_components(adjacency)) + self._dim
+                                                 - self.span_dim(indices))
         return dim
 
 
@@ -285,8 +302,7 @@ def transitivity_report(subspaces, dim: int | None = None) -> TransitivityReport
     for i in range(k):
         for j in range(i + 1, k):
             if exact:
-                touching = any(sum(x * y for x, y in zip(ri, rj))
-                               for ri in int_bases[i] for rj in int_bases[j])
+                touching = not _orthogonal(int_bases[i], int_bases[j])
             else:
                 touching = bool(np.max(np.abs(bases[i] @ bases[j].T)) > GRAPH_TOL)
             adjacency[i][j] = adjacency[j][i] = touching
@@ -310,6 +326,12 @@ def transitivity_report(subspaces, dim: int | None = None) -> TransitivityReport
         transitive=onsp,
         splitting_witness=witness,
     )
+
+
+def _orthogonal(rows_a, rows_b) -> bool:
+    """Whether two integer-spanned subspaces are orthogonal, decided from
+    the integer inner products of their basis rows."""
+    return not any(sum(x * y for x, y in zip(ra, rb)) for ra in rows_a for rb in rows_b)
 
 
 def _connected_components(adjacency: list[list[bool]]) -> tuple[tuple[int, ...], ...]:

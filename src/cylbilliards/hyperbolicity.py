@@ -17,15 +17,20 @@ I_d, are carried with their images W_k and advances, and each collision cuts
 N down to the left-null directions of the residual B_k W_k - alpha_k B_k v_k.
 The surviving rows span the neutral space; the segment is sufficient
 (geometrically hyperbolic) exactly when that space is the line spanned by the
-velocity. The same walk from a single row gives that row's advance tuple. An
-independent derivative-kernel method, a forward sweep of the linearized flow,
-computes the same space and serves as a cross-check.
+velocity. That space always contains T, spanned by the projection of the
+velocity onto the span of each component of the non-orthogonality graph of
+the visited base spaces and by the complement of their whole span, so a walk
+from I_d with dim T rows left has nothing more to cut. The same walk from a
+single row gives that row's advance tuple. An independent derivative-kernel
+method, a forward sweep of the linearized flow, computes the same space and
+serves as a cross-check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -36,7 +41,7 @@ from .flow import (OrbitSegment, PhasePoint, _random_starts, evolve_batch, fligh
                    _lockstep_parts)
 from .geometry import BilliardTable, base_ranks
 from .linalg import span_split
-from .tangent import BLOCK, transport
+from .tangent import transport
 
 ADVANCE_SYSTEM = "advance_system"
 DERIVATIVE_KERNEL = "derivative_kernel"
@@ -45,13 +50,6 @@ DERIVATIVE_KERNEL = "derivative_kernel"
 # of both neutral-space sweeps.
 ADVANCE_ATOL = 1e-8
 
-# Collisions that must be left after a collision that cuts no row for
-# ``_forward_walk`` to defer its rank decisions. Deferring every tail broke
-# even on walks of 12-16 collisions on sinai2, ortho3 and dense3, and of
-# 24-32 on hs4x2 and wide5, whose rows are cut over more collisions (40
-# walks per table and length, one BLAS thread, 2-core x86-64 host).
-_DEFER_TAIL = 16
-
 
 @dataclass(frozen=True, eq=False)
 class NeutralSpaceResult:
@@ -59,7 +57,8 @@ class NeutralSpaceResult:
     dim: int
     advances: tuple[tuple[float, ...], ...]  # one advance tuple per basis row
     method: str
-    # Rank margins of the sweep, each over its threshold: the largest
+    decided: int  # collisions whose rank was decided, from the first
+    # Rank margins of those decisions, each over its threshold: the largest
     # singular value treated as zero (0.0 if none) and the smallest one
     # dropped (None if none).
     largest_kept_sv: float | None = None
@@ -120,32 +119,10 @@ def _rank(s: np.ndarray, threshold: float, kept: list, dropped: list) -> int:
     return rank
 
 
-def _first_cut(residuals: list, threshold: np.ndarray, kept: list, dropped: list):
-    """Rank decisions of a block of collisions that cut no row: one stacked
-    SVD per residual width. Returns the block index, rank, ``u`` and ``s``
-    of the first collision with a nonzero rank, or None. The rank margins of
-    the collisions up to it go to ``kept`` and ``dropped``, one largest and
-    one smallest ratio per width."""
-    widths = [r.shape[1] for r in residuals]
-    decided = []
-    for width in set(widths):
-        at = np.array([j for j, w in enumerate(widths) if w == width])
-        u, s, _ = np.linalg.svd(np.stack([residuals[j] for j in at]))
-        decided.append((at, u, s, (s > threshold[at, None]).sum(axis=1), threshold[at]))
-    cut = min((at[rank > 0][0] for at, _, _, rank, _ in decided if rank.any()), default=len(residuals))
-    found = None
-    for at, u, s, rank, limit in decided:
-        upto = at <= cut
-        part = upto & (rank < s.shape[1])
-        if part.any():
-            kept.append(float((s[part, rank[part]] / limit[part]).max()))
-        part = upto & (rank > 0)
-        if part.any():
-            dropped.append(float((s[part, rank[part] - 1] / limit[part]).min()))
-        if cut in at:
-            i = np.searchsorted(at, cut)
-            found = cut, int(rank[i]), u[i], s[i]
-    return found
+def _trivial_dim(table: BilliardTable, cylinder_id) -> int:
+    """dim T of a segment from its 0-based cylinder ids (see the module
+    docstring)."""
+    return base_ranks(table).trivial_neutral_dim(tuple(sorted({c + 1 for c in cylinder_id})))
 
 
 def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult:
@@ -155,15 +132,9 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
     orthonormal input stays orthonormal. Raises NotNeutralError, with the
     smallest residual singular value, at a collision that drops every row.
 
-    While rows are being cut, each collision is decided on its own. A
-    collision that cuts no row changes the images and advances in a way that
-    does not depend on its SVD, so after one (with at least _DEFER_TAIL
-    collisions left) the walk runs that recurrence over blocks of 4, 16, then
-    BLOCK collisions, and decides each block with one stacked eigvalsh and
-    one stacked SVD per residual width. It commits the block up to its first
-    cut, applies that cut as the per-collision step would, and goes back to
-    deciding one collision at a time. Every stacked item is the lone call's,
-    so the result is bitwise the per-collision walk's.
+    A walk from d rows, the whole space, decides no more ranks once it has
+    at most dim T rows: it only carries its images and advances on, so its
+    rank margins cover its first ``decided`` collisions.
     """
     basis = images = rows
     n = segment.n_events
@@ -173,37 +144,15 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
     cids = segment.cylinder_id.tolist()
     v_pre = segment.v_pre
     jumps = segment.v_post - v_pre
-    k, size = 0, 1
-    while k < n:
-        if size > 1:
-            stop = min(n, k + size)
-            # Images before each collision of the block, and after its last.
-            stack = np.empty((stop - k + 1,) + images.shape)
-            stack[0] = images
-            alphas, residuals = np.empty((stop - k, len(images))), []
-            for j, i in enumerate(range(k, stop)):
-                base_rows = bases[cids[i]]
-                w_b = stack[j] @ base_rows.T
-                v_b = base_rows @ v_pre[i]
-                alphas[j] = alpha = w_b @ v_b / float(v_b @ v_b)
-                residuals.append(w_b - alpha[:, None] * v_b)
-                np.add(stack[j], alpha[:, None] * jumps[i], out=stack[j + 1])
-            before = stack[:-1]
-            top = np.linalg.eigvalsh(before @ before.transpose(0, 2, 1))[:, -1]
-            found = _first_cut(residuals, ADVANCE_ATOL * np.sqrt(np.maximum(1.0, top)), kept, dropped)
-            done = stop - k if found is None else found[0]
-            advances[:, k:k + done] = alphas[:done].T
-            images = stack[done]
-            if found is None:
-                k, size = stop, min(BLOCK, 4 * size)
-                continue
-            k += done
-            alpha, (_, rank, u, s) = alphas[done], found
-        else:
-            base_rows = bases[cids[k]]
-            w_b = images @ base_rows.T
-            v_b = base_rows @ v_pre[k]
-            alpha = w_b @ v_b / float(v_b @ v_b)
+    floor = _trivial_dim(segment.table, cids) if len(rows) == segment.table.dim else 0
+    decided = 0
+    for k in range(n):
+        base_rows = bases[cids[k]]
+        w_b = images @ base_rows.T
+        v_b = base_rows @ v_pre[k]
+        alpha = w_b @ v_b / float(v_b @ v_b)
+        if len(basis) > floor:
+            decided = k + 1
             u, s, _ = np.linalg.svd(w_b - alpha[:, None] * v_b)
             # Absolute and scaled by max(1, |W_k|_2): a threshold relative to
             # the largest residual would drop the velocity direction (see
@@ -211,17 +160,15 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
             # matrix, a third of the cost of np.linalg.norm(images, 2).
             threshold = ADVANCE_ATOL * math.sqrt(max(1.0, float(np.linalg.eigvalsh(images @ images.T)[-1])))
             rank = _rank(s, threshold, kept, dropped)
-        if rank:
-            if rank == basis.shape[0]:
-                raise NotNeutralError(k, float(s[-1]))
-            keep = u[:, rank:].T
-            basis, images, advances, alpha = keep @ basis, keep @ images, keep @ advances, keep @ alpha
+            if rank:
+                if rank == basis.shape[0]:
+                    raise NotNeutralError(k, float(s[-1]))
+                keep = u[:, rank:].T
+                basis, images, advances, alpha = keep @ basis, keep @ images, keep @ advances, keep @ alpha
         advances[:, k] = alpha
         images = images + alpha[:, None] * jumps[k]
-        k += 1
-        size = 4 if not rank and n - k >= _DEFER_TAIL else 1
     return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
-                              method=ADVANCE_SYSTEM, largest_kept_sv=max(kept, default=0.0),
+                              method=ADVANCE_SYSTEM, decided=decided, largest_kept_sv=max(kept, default=0.0),
                               smallest_dropped_sv=min(dropped, default=None))
 
 
@@ -233,19 +180,14 @@ def _neutral_dims(segments, d: int) -> list:
     rows left): each group takes one stacked product, SVD and eigvalsh whose
     every item is the call ``_forward_walk`` makes for that segment alone.
     Each segment keeps only its images, cut and advanced as the lone walk
-    does, so each dimension is bitwise the lone walk's. A lone segment runs
-    ``_forward_walk`` itself, which decides the ranks of a long stretch
-    without cuts in deferred blocks.
+    does, so each dimension is bitwise the lone walk's, and leaves the walk
+    once it has at most dim T rows, where the lone walk stops deciding.
     """
-    if len(segments) == 1:
-        try:
-            return [_forward_walk(segments[0], np.eye(d)).dim]
-        except NotNeutralError as exc:
-            return [exc]
     n_seg = len(segments)
     counts = [seg.n_events for seg in segments]
     n_max = max(counts, default=0)
     cids = [seg.cylinder_id.tolist() for seg in segments]
+    floors = [_trivial_dim(seg.table, ids) for seg, ids in zip(segments, cids)]
     bases = [c.base_basis for c in segments[0].table.cylinders] if n_seg else []
     # Every event's base velocity B_k v_k and its squared length, and the
     # velocity jump, padded to the longest segment.
@@ -261,7 +203,7 @@ def _neutral_dims(segments, d: int) -> list:
     failed: list = [None] * n_seg
     active = [i for i in range(n_seg) if counts[i]]
     for k in range(n_max):
-        active = [i for i in active if counts[i] > k and failed[i] is None]
+        active = [i for i in active if counts[i] > k and failed[i] is None and len(images[i]) > floors[i]]
         groups: dict = {}
         for i in active:
             groups.setdefault((cids[i][k], len(images[i])), []).append(i)
@@ -362,8 +304,8 @@ def neutral_space_numeric(segment: OrbitSegment, table: BilliardTable | None = N
 
     transport(np.hstack([basis, np.zeros((d, d))]), segment, visit=cut)
     return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
-                              method=DERIVATIVE_KERNEL, largest_kept_sv=max(kept, default=0.0),
-                              smallest_dropped_sv=min(dropped, default=None))
+                              method=DERIVATIVE_KERNEL, decided=segment.n_events,
+                              largest_kept_sv=max(kept, default=0.0), smallest_dropped_sv=min(dropped, default=None))
 
 
 def sufficiency(segment: OrbitSegment, table: BilliardTable | None = None) -> SufficiencyVerdict:
@@ -467,7 +409,8 @@ def survey_sufficiency(table: BilliardTable, sample_count: int, duration: float,
     are drawn, evolved and walked together as one batch in which each
     sample's row is bitwise what it gives alone. Output is therefore
     deterministic and independent of scheduling: ``threads`` > 1 splits the
-    samples into that many contiguous batches run in worker processes.
+    samples into that many contiguous batches, at most one per CPU, run in
+    worker processes.
     """
     if mode not in (GENERIC, ANSATZ):
         raise ValueError(f"unknown survey mode {mode!r}")
@@ -480,6 +423,7 @@ def survey_sufficiency(table: BilliardTable, sample_count: int, duration: float,
     work = partial(_survey_rows, table, seed=seed, duration=duration, mode=mode,
                    max_events=max_events)
     ids = range(sample_count)
+    threads = min(threads, os.cpu_count() or 1)
     if threads > 1 and sample_count > 1:
         from concurrent.futures import ProcessPoolExecutor
 

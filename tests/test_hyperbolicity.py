@@ -28,7 +28,8 @@ from cylbilliards import (
     sufficiency,
     survey_sufficiency,
 )
-from cylbilliards import StartsInsideScatterer, build_cylinder, build_table, hyperbolicity, validate_table
+from cylbilliards import (StartsInsideScatterer, build_cylinder, build_table, geometry, hyperbolicity,
+                          transitivity_report, validate_table)
 from cylbilliards.hyperbolicity import ADVANCE_ATOL, ADVANCE_SYSTEM, NeutralSpaceResult, _rank
 from cylbilliards.linalg import rational_rank
 
@@ -182,10 +183,17 @@ def _long_segment(table, seed, n_events=300):
 # collision on its own.
 # ---------------------------------------------------------------------------
 
-def reference_forward_walk(segment, rows):
+def trivial_dim(segment):
+    return geometry.base_ranks(segment.table).trivial_neutral_dim(tuple(sorted(set(segment.symbolic))))
+
+
+def reference_forward_walk(segment, rows, floor=0):
+    """Decides every collision's rank. The margins and ``decided`` count the
+    collisions met while more than ``floor`` rows are left."""
     basis = images = rows
     advances = np.zeros((rows.shape[0], segment.n_events))
     kept, dropped = [], []
+    decided = 0
     bases = [c.base_basis for c in segment.table.cylinders]
     jumps = segment.v_post - segment.v_pre
     for k, (cid, v_pre) in enumerate(zip(segment.cylinder_id.tolist(), segment.v_pre)):
@@ -195,7 +203,11 @@ def reference_forward_walk(segment, rows):
         alpha = w_b @ v_b / float(v_b @ v_b)
         u, s, _ = np.linalg.svd(w_b - np.outer(alpha, v_b))
         threshold = ADVANCE_ATOL * math.sqrt(max(1.0, float(np.linalg.eigvalsh(images @ images.T)[-1])))
-        rank = _rank(s, threshold, kept, dropped)
+        if basis.shape[0] > floor:
+            decided = k + 1
+            rank = _rank(s, threshold, kept, dropped)
+        else:
+            rank = _rank(s, threshold, [], [])
         if rank:
             if rank == basis.shape[0]:
                 raise NotNeutralError(k, float(s[-1]))
@@ -204,15 +216,17 @@ def reference_forward_walk(segment, rows):
         advances[:, k] = alpha
         images = images + np.outer(alpha, jumps[k])
     return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
-                              method=ADVANCE_SYSTEM, largest_kept_sv=max(kept, default=0.0),
+                              method=ADVANCE_SYSTEM, decided=decided, largest_kept_sv=max(kept, default=0.0),
                               smallest_dropped_sv=min(dropped, default=None))
 
 
 def assert_walk_is_reference(segment, rows):
     """``_forward_walk`` is bitwise the reference walk, NotNeutralError
-    included."""
+    included. A walk from the whole space decides ranks only until it has
+    dim T rows, so its margins are the reference's over those collisions."""
+    floor = trivial_dim(segment) if len(rows) == segment.table.dim else 0
     try:
-        want = reference_forward_walk(segment, rows)
+        want = reference_forward_walk(segment, rows, floor)
     except NotNeutralError as exc:
         with pytest.raises(NotNeutralError) as got:
             hyperbolicity._forward_walk(segment, rows)
@@ -220,8 +234,8 @@ def assert_walk_is_reference(segment, rows):
         return
     got = hyperbolicity._forward_walk(segment, rows)
     assert got.basis.tobytes() == want.basis.tobytes() and got.advances == want.advances
-    assert (got.dim, got.largest_kept_sv, got.smallest_dropped_sv) == (want.dim, want.largest_kept_sv,
-                                                                       want.smallest_dropped_sv)
+    assert (got.dim, got.decided, got.largest_kept_sv, got.smallest_dropped_sv) == \
+        (want.dim, want.decided, want.largest_kept_sv, want.smallest_dropped_sv)
 
 
 class TestForwardWalk:
@@ -274,8 +288,10 @@ class TestForwardWalk:
         assert failures() == 0
         # Below zero every singular value counts, so each collision cuts as
         # many rows as its base has dimensions and the walks fail once too
-        # few rows are left.
+        # few rows are left. The walks would stop at dim T first, below
+        # which they cut in no exact arithmetic, so dim T is set to zero.
         monkeypatch.setattr(hyperbolicity, "ADVANCE_ATOL", -1.0)
+        monkeypatch.setattr(geometry.BaseRanks, "trivial_neutral_dim", lambda self, visited: 0)
         assert failures() > 0
 
     @pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4", "hs4x2"])
@@ -292,8 +308,9 @@ class TestForwardWalk:
     def test_walk_equals_reference_past_a_late_cut(self, ortho3, seed, n, late):
         # Each start meets only one cylinder before collision ``late``. From
         # I_3 the walk cuts at collision 0, keeps every row up to ``late``
-        # and cuts there, inside a block whose ranks were deferred; from the
-        # velocity and that cylinder's generator the first cut is ``late``.
+        # and cuts there to dim T = 1, after which it decides no more
+        # ranks; from the velocity and that cylinder's generator the first
+        # cut is ``late``, and every later collision is decided.
         x = random_phase_point(ortho3, np.random.default_rng(seed))
         seg = evolve(x, ortho3, 1e6, max_events=n)
         assert clean(seg) and seg.n_events == n and n - late >= 16
@@ -310,6 +327,50 @@ class TestForwardWalk:
         assert res.dim == 2
         e3 = np.array([0.0, 0.0, 1.0])
         assert np.linalg.norm(res.basis.T @ (res.basis @ e3) - e3) < 1e-10
+
+
+class TestTriviallyNeutralSpace:
+    """T = span{P_C v0 for each visited component C} + A* is exactly
+    neutral, so every walk from I_d ends at or above dim T."""
+
+    @staticmethod
+    def t_rows(segment):
+        """T's spanning vectors with their exact advance tuples: v0 (all 1),
+        P_C v0 (1 at C's collisions, 0 elsewhere) and the rows of A* (0)."""
+        table, symbolic = segment.table, np.array(segment.symbolic)
+        visited = sorted(set(segment.symbolic))
+        v0 = segment.start.v
+        rows = [(v0, np.ones(segment.n_events))]
+        components = transitivity_report([table.cylinder(i).base for i in visited]).graph_components
+        for component in components:
+            members = [visited[j - 1] for j in component]
+            l_star = span_decomposition(members, table).l_star
+            rows.append((l_star.T @ (l_star @ v0), np.isin(symbolic, members).astype(float)))
+        a_star = span_decomposition(visited, table).a_star
+        rows += [(row, np.zeros(segment.n_events)) for row in a_star]
+        return rows, len(components) + len(a_star)
+
+    @pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4", "hs4x2"])
+    def test_t_is_neutral_and_inside_every_walk(self, request, name):
+        table = request.getfixturevalue(name)
+        both_visited = False
+        for n in (1, 5, 40, 300):
+            seg = _long_segment(table, 41 + n, n)
+            rows, dim_t = self.t_rows(seg)
+            assert trivial_dim(seg) == dim_t
+            assert np.linalg.matrix_rank(np.array([w for w, _ in rows]), tol=1e-10) == dim_t
+            for w, alphas in rows:
+                assert np.allclose(advance_functionals(seg, w), alphas, rtol=0, atol=1e-8)
+            res = neutral_space_advance(seg)
+            assert res.dim >= dim_t
+            for w, _ in rows:
+                w = w / np.linalg.norm(w)
+                assert np.linalg.norm(w - res.basis.T @ (res.basis @ w)) < 1e-8
+            if name == "split4" and len(set(seg.symbolic)) == 2:
+                # One time shift per orthogonal component.
+                assert dim_t == 2
+                both_visited = True
+        assert name != "split4" or both_visited
 
 
 class TestNeutralSpaceNumeric:
@@ -511,6 +572,7 @@ class TestSurvey:
 
     def test_pool_starts_no_more_workers_than_batches(self, ortho3, monkeypatch):
         import concurrent.futures
+        import os
 
         asked = []
 
@@ -530,10 +592,15 @@ class TestSurvey:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        rows = survey_sufficiency(ortho3, 4, 10.0, seed=1, threads=64).rows
-        assert asked == [4]
-        serial = survey_sufficiency(ortho3, 4, 10.0, seed=1).rows
-        assert [dataclasses.asdict(r) for r in rows] == [dataclasses.asdict(r) for r in serial]
+        serial = [dataclasses.asdict(r) for r in survey_sufficiency(ortho3, 6, 10.0, seed=1).rows]
+        # Six samples asked onto 64 threads: at most one batch per sample
+        # and one worker per CPU; an unknown or single CPU runs serially.
+        for cpus, pool in ((None, []), (1, []), (2, [2]), (3, [3]), (8, [6])):
+            asked.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            rows = survey_sufficiency(ortho3, 6, 10.0, seed=1, threads=64).rows
+            assert asked == pool
+            assert [dataclasses.asdict(r) for r in rows] == serial
 
     @pytest.mark.parametrize("mode", ["generic", "ansatz"])
     def test_rows_are_the_first_rows_of_a_larger_survey(self, skew3, mode):

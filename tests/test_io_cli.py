@@ -481,6 +481,7 @@ class TestCli:
         doc = json.loads((out / "sufficiency.json").read_text())
         assert doc["neutral_dim"] >= 1
         assert doc["method"] == "advance_system"
+        assert 1 <= doc["decided_collisions"] <= doc["n_collisions"]
         assert doc["largest_kept_sv"] < 1e-3
         assert doc["smallest_dropped_sv"] > 1e3
 
@@ -495,5 +496,6 @@ class TestCli:
         assert doc["sufficient"] is False
         assert doc["neutral_dim"] == 3
         # No collision, so no rank decision and nothing dropped.
+        assert doc["decided_collisions"] == 0
         assert doc["largest_kept_sv"] == 0.0
         assert doc["smallest_dropped_sv"] is None
