@@ -20,10 +20,12 @@ The surviving rows span the neutral space; the segment is sufficient
 velocity. That space always contains T, spanned by the projection of the
 velocity onto the span of each component of the non-orthogonality graph of
 the visited base spaces and by the complement of their whole span, so a walk
-from I_d with dim T rows left has nothing more to cut. The same walk from a
-single row gives that row's advance tuple. An independent derivative-kernel
-method, a forward sweep of the linearized flow, computes the same space and
-serves as a cross-check.
+from I_d with dim T rows left has nothing more to cut: it returns there,
+and the cut-free rest of the segment, which only carries the images and
+advances on, is walked on the first read of the result's ``advances``. The
+same walk from a single row gives that row's advance tuple. An independent
+derivative-kernel method, a forward sweep of the linearized flow, computes
+the same space and serves as a cross-check.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -52,10 +55,60 @@ ADVANCE_ATOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
+class _Tail:
+    """A walk from I_d past its last rank decision, as plain data: the
+    advances of collisions ``start`` onward are still zero, and ``images``
+    are the carried W_k at collision ``start``."""
+    segment: OrbitSegment
+    images: np.ndarray
+    advances: np.ndarray
+    start: int
+
+    def walk(self) -> tuple[tuple[float, ...], ...]:
+        """The advance tuples: the rest of the segment walked with the
+        arithmetic of the walk's cut-free steps."""
+        seg = self.segment
+        bases = [c.base_basis for c in seg.table.cylinders]
+        cids = seg.cylinder_id.tolist()
+        v_base, v_sq = _base_velocities([seg], bases, seg.n_events)
+        jumps = seg.v_post - seg.v_pre
+        images, advances = self.images, self.advances.copy()
+        for k in range(self.start, seg.n_events):
+            base_rows = bases[cids[k]]
+            alpha = images @ base_rows.T @ v_base[0, k, :len(base_rows)] / v_sq[0, k]
+            advances[:, k] = alpha
+            images = images + alpha[:, None] * jumps[k]
+        return tuple(map(tuple, advances.tolist()))
+
+
+class _Advances:
+    """The ``advances`` field of NeutralSpaceResult: its advance tuples, or a
+    pending ``_Tail`` that the first read walks and replaces with them."""
+
+    # One walk at a time, so that threads reading one result get one tuple.
+    lock = threading.Lock()
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            raise AttributeError("advances")  # so the field has no default
+        if isinstance(result.__dict__["_advances"], _Tail):
+            with self.lock:
+                value = result.__dict__["_advances"]
+                if isinstance(value, _Tail):
+                    result.__dict__["_advances"] = value.walk()
+        return result.__dict__["_advances"]
+
+    def __set__(self, result, value):
+        result.__dict__["_advances"] = value
+
+
+@dataclass(frozen=True, eq=False)
 class NeutralSpaceResult:
     basis: np.ndarray  # orthonormal rows
     dim: int
-    advances: tuple[tuple[float, ...], ...]  # one advance tuple per basis row
+    # One advance tuple per basis row. The descriptor, not a default, lets a
+    # walk from I_d finish them on the first read.
+    advances: tuple[tuple[float, ...], ...] = _Advances()
     method: str
     decided: int  # collisions whose rank was decided, from the first
     # Rank margins of those decisions, each over its threshold: the largest
@@ -133,8 +186,9 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
     smallest residual singular value, at a collision that drops every row.
 
     A walk from d rows, the whole space, decides no more ranks once it has
-    at most dim T rows: it only carries its images and advances on, so its
-    rank margins cover its first ``decided`` collisions.
+    at most dim T rows, so it returns there, with rank margins over its first
+    ``decided`` collisions. The cut-free rest of the walk only carries the
+    images and advances on; the result's first read of ``advances`` walks it.
     """
     basis = images = rows
     n = segment.n_events
@@ -145,31 +199,43 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
     v_pre = segment.v_pre
     jumps = segment.v_post - v_pre
     floor = _trivial_dim(segment.table, cids) if len(rows) == segment.table.dim else 0
-    decided = 0
-    for k in range(n):
+    k = 0
+    while k < n and len(basis) > floor:
         base_rows = bases[cids[k]]
         w_b = images @ base_rows.T
         v_b = base_rows @ v_pre[k]
         alpha = w_b @ v_b / float(v_b @ v_b)
-        if len(basis) > floor:
-            decided = k + 1
-            u, s, _ = np.linalg.svd(w_b - alpha[:, None] * v_b)
-            # Absolute and scaled by max(1, |W_k|_2): a threshold relative to
-            # the largest residual would drop the velocity direction (see
-            # README). |W_k|_2^2 is the top eigenvalue of the p x p Gram
-            # matrix, a third of the cost of np.linalg.norm(images, 2).
-            threshold = ADVANCE_ATOL * math.sqrt(max(1.0, float(np.linalg.eigvalsh(images @ images.T)[-1])))
-            rank = _rank(s, threshold, kept, dropped)
-            if rank:
-                if rank == basis.shape[0]:
-                    raise NotNeutralError(k, float(s[-1]))
-                keep = u[:, rank:].T
-                basis, images, advances, alpha = keep @ basis, keep @ images, keep @ advances, keep @ alpha
+        u, s, _ = np.linalg.svd(w_b - alpha[:, None] * v_b)
+        # Absolute and scaled by max(1, |W_k|_2): a threshold relative to
+        # the largest residual would drop the velocity direction (see
+        # README). |W_k|_2^2 is the top eigenvalue of the p x p Gram
+        # matrix, a third of the cost of np.linalg.norm(images, 2).
+        threshold = ADVANCE_ATOL * math.sqrt(max(1.0, float(np.linalg.eigvalsh(images @ images.T)[-1])))
+        rank = _rank(s, threshold, kept, dropped)
+        if rank:
+            if rank == basis.shape[0]:
+                raise NotNeutralError(k, float(s[-1]))
+            keep = u[:, rank:].T
+            basis, images, advances, alpha = keep @ basis, keep @ images, keep @ advances, keep @ alpha
         advances[:, k] = alpha
         images = images + alpha[:, None] * jumps[k]
-    return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
-                              method=ADVANCE_SYSTEM, decided=decided, largest_kept_sv=max(kept, default=0.0),
-                              smallest_dropped_sv=min(dropped, default=None))
+        k += 1
+    return NeutralSpaceResult(
+        basis=basis, dim=basis.shape[0], method=ADVANCE_SYSTEM, decided=k,
+        advances=_Tail(segment, images, advances, k) if k < n else tuple(map(tuple, advances.tolist())),
+        largest_kept_sv=max(kept, default=0.0), smallest_dropped_sv=min(dropped, default=None))
+
+
+def _base_velocities(segments, bases, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment and event, the base velocity B_k v_k of the cylinder hit,
+    padded to the largest base rank and to ``n_max`` events, and its squared
+    length |B_k v_k|^2."""
+    v_base = np.zeros((len(segments), n_max, max((len(b) for b in bases), default=0)))
+    for i, seg in enumerate(segments):
+        for c in set(seg.cylinder_id.tolist()):
+            at = (seg.cylinder_id == c).nonzero()[0]
+            v_base[i, at, :len(bases[c])] = (bases[c] @ seg.v_pre[at][:, :, None])[:, :, 0]
+    return v_base, (v_base[:, :, None, :] @ v_base[:, :, :, None])[:, :, 0, 0]
 
 
 def _neutral_dims(segments, d: int) -> list:
@@ -189,16 +255,11 @@ def _neutral_dims(segments, d: int) -> list:
     cids = [seg.cylinder_id.tolist() for seg in segments]
     floors = [_trivial_dim(seg.table, ids) for seg, ids in zip(segments, cids)]
     bases = [c.base_basis for c in segments[0].table.cylinders] if n_seg else []
-    # Every event's base velocity B_k v_k and its squared length, and the
-    # velocity jump, padded to the longest segment.
-    v_base = np.zeros((n_seg, n_max, max((len(b) for b in bases), default=0)))
+    v_base, v_sq = _base_velocities(segments, bases, n_max)
+    # Every event's velocity jump, padded to the longest segment.
     jumps = np.zeros((n_seg, n_max, d))
     for i, (seg, n) in enumerate(zip(segments, counts)):
         jumps[i, :n] = seg.v_post - seg.v_pre
-        for c in set(cids[i]):
-            at = (seg.cylinder_id == c).nonzero()[0]
-            v_base[i, at, :len(bases[c])] = (bases[c] @ seg.v_pre[at][:, :, None])[:, :, 0]
-    v_sq = (v_base[:, :, None, :] @ v_base[:, :, :, None])[:, :, 0, 0]
     images = [np.eye(d)] * n_seg
     failed: list = [None] * n_seg
     active = [i for i in range(n_seg) if counts[i]]
@@ -312,7 +373,9 @@ def sufficiency(segment: OrbitSegment, table: BilliardTable | None = None) -> Su
     """Sufficiency (geometric hyperbolicity): neutral space of minimal dim 1.
 
     Zero-collision segments are never sufficient (the neutral space is all of
-    R^d).
+    R^d). The verdict is final once the walk from I_d reaches dim T; the
+    witness walks the rest of the segment on the first read of its
+    ``advances``.
     """
     d = _segment_dim(segment, table)
     _require_nonsingular(segment)
@@ -409,8 +472,8 @@ def survey_sufficiency(table: BilliardTable, sample_count: int, duration: float,
     are drawn, evolved and walked together as one batch in which each
     sample's row is bitwise what it gives alone. Output is therefore
     deterministic and independent of scheduling: ``threads`` > 1 splits the
-    samples into that many contiguous batches, at most one per CPU, run in
-    worker processes.
+    samples into that many contiguous batches, at most one per CPU that this
+    process may use, run in worker processes.
     """
     if mode not in (GENERIC, ANSATZ):
         raise ValueError(f"unknown survey mode {mode!r}")
@@ -423,7 +486,9 @@ def survey_sufficiency(table: BilliardTable, sample_count: int, duration: float,
     work = partial(_survey_rows, table, seed=seed, duration=duration, mode=mode,
                    max_events=max_events)
     ids = range(sample_count)
-    threads = min(threads, os.cpu_count() or 1)
+    # The CPUs this process may run on, where the platform can tell.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = min(threads, cpus or 1)
     if threads > 1 and sample_count > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -109,20 +109,6 @@ def table_from_dict(doc: dict) -> BilliardTable:
     return validate_table(build_table(cylinders), disjoint_budget=budget)
 
 
-def table_to_dict(table: BilliardTable) -> dict:
-    return {
-        "dimension": table.dim,
-        "cylinders": [
-            {
-                "generator": [list(map(int, row)) for row in c.generator.integer_basis],
-                "translation": [float(t) for t in c.translation],
-                "radius": c.radius,
-            }
-            for c in table.cylinders
-        ],
-    }
-
-
 # ---------------------------------------------------------------------------
 # Scenarios
 # ---------------------------------------------------------------------------

@@ -83,6 +83,17 @@ def hs4x2():
     return validate_table(build_table(cylinders))
 
 
+@pytest.fixture(scope="session")
+def wide5():
+    """A sphere and three cylinders of base rank 3, 4 and 4 in the 5-torus;
+    the sphere's offset ball makes every flight scan many candidates."""
+    return validate_table(build_table([
+        build_cylinder([], [0.5] * 5, 0.1, 5),
+        build_cylinder([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], [0] * 5, 0.2, 5),
+        build_cylinder([[0, 0, 1, 0, 0]], [0, 0, 0, 0.5, 0], 0.15, 5),
+        build_cylinder([[0, 0, 0, 1, 1]], [0, 0, 0.5, 0, 0], 0.15, 5)]))
+
+
 def tori_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Sup-norm distance on the torus."""
     diff = np.abs(np.asarray(a) - np.asarray(b))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import pickle
 from functools import partial
 
 import numpy as np
@@ -329,6 +330,79 @@ class TestForwardWalk:
         assert np.linalg.norm(res.basis.T @ (res.basis @ e3) - e3) < 1e-10
 
 
+ALL_TABLES = ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4", "hs4x2", "wide5"]
+
+
+class TestLazyTail:
+    """A walk from I_d returns once it reaches dim T; the first read of
+    ``advances`` walks the cut-free rest of the segment."""
+
+    @staticmethod
+    def advances_bytes(result):
+        return np.array(result.advances).tobytes()
+
+    @pytest.mark.parametrize("name", ALL_TABLES)
+    @pytest.mark.parametrize("n", [1, 5, 20, 60, 300])
+    def test_advances_are_the_reference_walks(self, request, name, n):
+        table = request.getfixturevalue(name)
+        seg = segment_with_events(table, np.random.default_rng(1900 + n), n)
+        want = reference_forward_walk(seg, np.eye(table.dim), trivial_dim(seg))
+        unread = sufficiency(seg).witness
+        for res in (sufficiency(seg).witness, neutral_space_advance(seg)):
+            first = res.advances
+            assert self.advances_bytes(res) == np.array(want.advances).tobytes()
+            assert res.advances is first
+            for got in (res, unread):
+                assert got.basis.tobytes() == want.basis.tobytes()
+                assert (got.dim, got.decided, got.largest_kept_sv, got.smallest_dropped_sv) == \
+                    (want.dim, want.decided, want.largest_kept_sv, want.smallest_dropped_sv)
+        if n == 300:
+            # Every table reaches dim T long before the 300th collision.
+            assert unread.decided < n
+
+    @pytest.mark.parametrize("name", ALL_TABLES)
+    def test_pickled_before_and_after_the_first_read(self, request, name):
+        table = request.getfixturevalue(name)
+        seg = segment_with_events(table, np.random.default_rng(1960), 60)
+        verdict = sufficiency(seg)
+        assert verdict.witness.decided < seg.n_events
+        before = pickle.loads(pickle.dumps(verdict))
+        read = self.advances_bytes(verdict.witness)
+        after = pickle.loads(pickle.dumps(verdict))
+        assert self.advances_bytes(before.witness) == read == self.advances_bytes(after.witness)
+        for copy in (before, after):
+            assert copy.witness.basis.tobytes() == verdict.witness.basis.tobytes()
+            assert (copy.neutral_dim, copy.witness.decided, copy.witness.largest_kept_sv) == \
+                (verdict.neutral_dim, verdict.witness.decided, verdict.witness.largest_kept_sv)
+
+    def test_threads_reading_one_result_get_one_tuple(self, hs4x2):
+        import sys
+        import threading
+
+        seg = segment_with_events(hs4x2, np.random.default_rng(1961), 300)
+        for _ in range(5):
+            witness = sufficiency(seg).witness
+            got = []
+            start = threading.Barrier(4)
+
+            def read():
+                start.wait(timeout=10)
+                got.append(witness.advances)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert len(got) == 4 and all(a is witness.advances for a in got)
+
+
 class TestTriviallyNeutralSpace:
     """T = span{P_C v0 for each visited component C} + A* is exactly
     neutral, so every walk from I_d ends at or above dim T."""
@@ -486,14 +560,7 @@ class TestRichness:
 
     @pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4", "wide5"])
     def test_cached_reports_match_uncached(self, name, request):
-        if name == "wide5":
-            table = validate_table(build_table([
-                build_cylinder([], [0.5] * 5, 0.1, 5),
-                build_cylinder([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], [0] * 5, 0.2, 5),
-                build_cylinder([[0, 0, 1, 0, 0]], [0, 0, 0, 0.5, 0], 0.15, 5),
-                build_cylinder([[0, 0, 0, 1, 1]], [0, 0, 0.5, 0, 0], 0.15, 5)]))
-        else:
-            table = request.getfixturevalue(name)
+        table = request.getfixturevalue(name)
         bases = {i: [list(r) for r in c.base.integer_basis] for i, c in enumerate(table.cylinders, start=1)}
         fresh = build_table(table.cylinders)  # not validated: ranks computed on first use
         for size in range(1, len(bases) + 1):
@@ -594,10 +661,17 @@ class TestSurvey:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         serial = [dataclasses.asdict(r) for r in survey_sufficiency(ortho3, 6, 10.0, seed=1).rows]
         # Six samples asked onto 64 threads: at most one batch per sample
-        # and one worker per CPU; an unknown or single CPU runs serially.
+        # and one worker per CPU that the process may use (its affinity mask
+        # where the platform has one, not the host's CPU count); an unknown
+        # or single CPU runs serially.
+        affinity = hasattr(os, "sched_getaffinity")
         for cpus, pool in ((None, []), (1, []), (2, [2]), (3, [3]), (8, [6])):
             asked.clear()
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            if affinity:
+                monkeypatch.setattr(os, "cpu_count", lambda: 64)
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus or 0)))
+            else:
+                monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             rows = survey_sufficiency(ortho3, 6, 10.0, seed=1, threads=64).rows
             assert asked == pool
             assert [dataclasses.asdict(r) for r in rows] == serial

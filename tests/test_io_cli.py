@@ -23,7 +23,6 @@ from cylbilliards.tableio import (
     load_scenario,
     segment_to_dict,
     table_from_dict,
-    table_to_dict,
     write_events_csv,
     write_json,
     write_qmonitor_csv,
@@ -47,6 +46,21 @@ def disc_doc(translation=(0.0, 0.0), **fields):
 
 
 DISC_START = {"start": {"q": [0.5, 0.1], "v": [0.6, 0.8]}}
+
+
+def table_to_dict(table) -> dict:
+    """The table-file document of ``table``."""
+    return {
+        "dimension": table.dim,
+        "cylinders": [
+            {
+                "generator": [list(map(int, row)) for row in c.generator.integer_basis],
+                "translation": [float(t) for t in c.translation],
+                "radius": c.radius,
+            }
+            for c in table.cylinders
+        ],
+    }
 
 
 class TestTableFiles:
