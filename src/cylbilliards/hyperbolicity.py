@@ -20,12 +20,11 @@ The surviving rows span the neutral space; the segment is sufficient
 velocity. That space always contains T, spanned by the projection of the
 velocity onto the span of each component of the non-orthogonality graph of
 the visited base spaces and by the complement of their whole span, so a walk
-from I_d with dim T rows left has nothing more to cut: it returns there,
-and the cut-free rest of the segment, which only carries the images and
-advances on, is walked on the first read of the result's ``advances``. The
-same walk from a single row gives that row's advance tuple. An independent
-derivative-kernel method, a forward sweep of the linearized flow, computes
-the same space and serves as a cross-check.
+from I_d with dim T rows left has nothing more to cut: it decides no rank
+there and only carries its images and advances on. The same walk from a
+single row gives that row's advance tuple. An independent derivative-kernel
+method, a forward sweep of the linearized flow, computes the same space and
+serves as a cross-check.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -55,60 +53,10 @@ ADVANCE_ATOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
-class _Tail:
-    """A walk from I_d past its last rank decision, as plain data: the
-    advances of collisions ``start`` onward are still zero, and ``images``
-    are the carried W_k at collision ``start``."""
-    segment: OrbitSegment
-    images: np.ndarray
-    advances: np.ndarray
-    start: int
-
-    def walk(self) -> tuple[tuple[float, ...], ...]:
-        """The advance tuples: the rest of the segment walked with the
-        arithmetic of the walk's cut-free steps."""
-        seg = self.segment
-        bases = [c.base_basis for c in seg.table.cylinders]
-        cids = seg.cylinder_id.tolist()
-        v_base, v_sq = _base_velocities([seg], bases, seg.n_events)
-        jumps = seg.v_post - seg.v_pre
-        images, advances = self.images, self.advances.copy()
-        for k in range(self.start, seg.n_events):
-            base_rows = bases[cids[k]]
-            alpha = images @ base_rows.T @ v_base[0, k, :len(base_rows)] / v_sq[0, k]
-            advances[:, k] = alpha
-            images = images + alpha[:, None] * jumps[k]
-        return tuple(map(tuple, advances.tolist()))
-
-
-class _Advances:
-    """The ``advances`` field of NeutralSpaceResult: its advance tuples, or a
-    pending ``_Tail`` that the first read walks and replaces with them."""
-
-    # One walk at a time, so that threads reading one result get one tuple.
-    lock = threading.Lock()
-
-    def __get__(self, result, owner=None):
-        if result is None:
-            raise AttributeError("advances")  # so the field has no default
-        if isinstance(result.__dict__["_advances"], _Tail):
-            with self.lock:
-                value = result.__dict__["_advances"]
-                if isinstance(value, _Tail):
-                    result.__dict__["_advances"] = value.walk()
-        return result.__dict__["_advances"]
-
-    def __set__(self, result, value):
-        result.__dict__["_advances"] = value
-
-
-@dataclass(frozen=True, eq=False)
 class NeutralSpaceResult:
     basis: np.ndarray  # orthonormal rows
     dim: int
-    # One advance tuple per basis row. The descriptor, not a default, lets a
-    # walk from I_d finish them on the first read.
-    advances: tuple[tuple[float, ...], ...] = _Advances()
+    advances: tuple[tuple[float, ...], ...]  # one advance tuple per basis row
     method: str
     decided: int  # collisions whose rank was decided, from the first
     # Rank margins of those decisions, each over its threshold: the largest
@@ -186,9 +134,8 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
     smallest residual singular value, at a collision that drops every row.
 
     A walk from d rows, the whole space, decides no more ranks once it has
-    at most dim T rows, so it returns there, with rank margins over its first
-    ``decided`` collisions. The cut-free rest of the walk only carries the
-    images and advances on; the result's first read of ``advances`` walks it.
+    at most dim T rows: it only carries its images and advances on, so its
+    rank margins cover its first ``decided`` collisions.
     """
     basis = images = rows
     n = segment.n_events
@@ -196,34 +143,34 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
     kept, dropped = [], []
     bases = [c.base_basis for c in segment.table.cylinders]
     cids = segment.cylinder_id.tolist()
-    v_pre = segment.v_pre
-    jumps = segment.v_post - v_pre
+    v_base, v_sq = _base_velocities([segment], bases, n)
+    jumps = segment.v_post - segment.v_pre
     floor = _trivial_dim(segment.table, cids) if len(rows) == segment.table.dim else 0
-    k = 0
-    while k < n and len(basis) > floor:
-        base_rows = bases[cids[k]]
+    decided = 0
+    for k, (c, v_b, v_b_sq, jump) in enumerate(zip(cids, v_base[0], v_sq[0].tolist(), jumps)):
+        base_rows = bases[c]
+        v_b = v_b[:len(base_rows)]
         w_b = images @ base_rows.T
-        v_b = base_rows @ v_pre[k]
-        alpha = w_b @ v_b / float(v_b @ v_b)
-        u, s, _ = np.linalg.svd(w_b - alpha[:, None] * v_b)
-        # Absolute and scaled by max(1, |W_k|_2): a threshold relative to
-        # the largest residual would drop the velocity direction (see
-        # README). |W_k|_2^2 is the top eigenvalue of the p x p Gram
-        # matrix, a third of the cost of np.linalg.norm(images, 2).
-        threshold = ADVANCE_ATOL * math.sqrt(max(1.0, float(np.linalg.eigvalsh(images @ images.T)[-1])))
-        rank = _rank(s, threshold, kept, dropped)
-        if rank:
-            if rank == basis.shape[0]:
-                raise NotNeutralError(k, float(s[-1]))
-            keep = u[:, rank:].T
-            basis, images, advances, alpha = keep @ basis, keep @ images, keep @ advances, keep @ alpha
+        alpha = w_b @ v_b / v_b_sq
+        if len(basis) > floor:
+            decided = k + 1
+            u, s, _ = np.linalg.svd(w_b - alpha[:, None] * v_b)
+            # Absolute and scaled by max(1, |W_k|_2): a threshold relative to
+            # the largest residual would drop the velocity direction (see
+            # README). |W_k|_2^2 is the top eigenvalue of the p x p Gram
+            # matrix, a third of the cost of np.linalg.norm(images, 2).
+            threshold = ADVANCE_ATOL * math.sqrt(max(1.0, float(np.linalg.eigvalsh(images @ images.T)[-1])))
+            rank = _rank(s, threshold, kept, dropped)
+            if rank:
+                if rank == basis.shape[0]:
+                    raise NotNeutralError(k, float(s[-1]))
+                keep = u[:, rank:].T
+                basis, images, advances, alpha = keep @ basis, keep @ images, keep @ advances, keep @ alpha
         advances[:, k] = alpha
-        images = images + alpha[:, None] * jumps[k]
-        k += 1
-    return NeutralSpaceResult(
-        basis=basis, dim=basis.shape[0], method=ADVANCE_SYSTEM, decided=k,
-        advances=_Tail(segment, images, advances, k) if k < n else tuple(map(tuple, advances.tolist())),
-        largest_kept_sv=max(kept, default=0.0), smallest_dropped_sv=min(dropped, default=None))
+        images = images + alpha[:, None] * jump
+    return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
+                              method=ADVANCE_SYSTEM, decided=decided, largest_kept_sv=max(kept, default=0.0),
+                              smallest_dropped_sv=min(dropped, default=None))
 
 
 def _base_velocities(segments, bases, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -373,9 +320,7 @@ def sufficiency(segment: OrbitSegment, table: BilliardTable | None = None) -> Su
     """Sufficiency (geometric hyperbolicity): neutral space of minimal dim 1.
 
     Zero-collision segments are never sufficient (the neutral space is all of
-    R^d). The verdict is final once the walk from I_d reaches dim T; the
-    witness walks the rest of the segment on the first read of its
-    ``advances``.
+    R^d).
     """
     d = _segment_dim(segment, table)
     _require_nonsingular(segment)
