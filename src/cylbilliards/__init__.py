@@ -55,6 +55,7 @@ from .flow import (
 from .tangent import (
     CollisionOperators,
     LyapunovReport,
+    NormalSamples,
     NormalVector,
     TangentVector,
     collision_derivative,

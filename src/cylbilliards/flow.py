@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import OutwardVelocity, StartsInsideScatterer
+from .errors import DimensionMismatch, OutwardVelocity, StartsInsideScatterer
 from .geometry import BilliardTable, Cylinder
 from .lattice import babai_round
 
@@ -414,14 +414,15 @@ def next_collision(x: PhasePoint, table: BilliardTable, t_max: float) -> Collisi
     Raises StartsInsideScatterer when x sits strictly inside a cylinder. A
     start on a scatterer with inward radial velocity is reflected first, as
     in ``evolve``, whose first event this is. Grazing and near-double
-    candidates are flagged inside the returned event. Raises ValueError
-    unless t_max >= 0 and the start is finite and of unit speed.
+    candidates are flagged inside the returned event. Raises
+    DimensionMismatch unless q and v have the table's dimension, and
+    ValueError unless t_max >= 0 and the start is finite and of unit speed.
     """
     if not t_max >= 0:
         raise ValueError(f"t_max = {t_max} is not >= 0")
     ft = flight_table(table)
-    q = np.asarray(x.q, dtype=float)[None]
-    v, (error,) = _start_velocities(ft, q, np.asarray(x.v, dtype=float)[None])
+    q, v = _start_arrays([x], table.dim)
+    v, (error,) = _start_velocities(ft, q, v)
     if error is not None:
         raise error
     hits, (n,) = _trajectory(ft, q, v, t_max, 1)
@@ -429,6 +430,19 @@ def next_collision(x: PhasePoint, table: BilliardTable, t_max: float) -> Collisi
         return None
     cols = _finish(ft, hits)
     return _event_rows(table, dict(time=cols["flight"], **cols))[0]
+
+
+def _start_arrays(starts: list, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions and velocities of the starts as (B, d) arrays. Raises
+    DimensionMismatch naming the first start whose q or v is not a vector
+    of length d."""
+    for i, x in enumerate(starts):
+        for name, vec in (("q", x.q), ("v", x.v)):
+            if np.shape(vec) != (d,):
+                raise DimensionMismatch(f"start {i}: {name} has shape {np.shape(vec)}, the table has dimension {d}")
+    q = np.array([x.q for x in starts], dtype=float).reshape(-1, d)
+    v = np.array([x.v for x in starts], dtype=float).reshape(-1, d)
+    return q, v
 
 
 def _start_velocities(ft: _FlightTable, q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, list]:
@@ -480,9 +494,10 @@ def evolve(x: PhasePoint, table: BilliardTable, duration: float,
     The segment is truncated at the first flagged singularity (tangential or
     double) or when max_events is reached; the flag records which. Positions
     are re-reduced to [0,1)^d after every flight, and the covering-space
-    endpoint is tracked separately for derivative checks. Raises ValueError
-    unless duration >= 0, max_events >= 1 and the start is finite and of
-    unit speed.
+    endpoint is tracked separately for derivative checks. Raises
+    DimensionMismatch unless q and v have the table's dimension, and
+    ValueError unless duration >= 0, max_events >= 1 and the start is finite
+    and of unit speed.
     """
     (segment,) = evolve_batch([x], table, duration, max_events)
     if isinstance(segment, StartsInsideScatterer):
@@ -497,8 +512,9 @@ def evolve_batch(starts, table: BilliardTable, duration: float,
     Returns one entry per start: its OrbitSegment, bitwise equal to what
     ``evolve`` gives for that start alone, or the StartsInsideScatterer the
     start raises when it sits strictly inside a cylinder, which leaves the
-    other starts unaffected. A NaN, infinite or non-unit-speed start raises
-    ValueError.
+    other starts unaffected. A start whose q or v does not have the table's
+    dimension raises DimensionMismatch; a NaN, infinite or non-unit-speed
+    start raises ValueError.
     """
     if max_events < 1:
         raise ValueError(f"max_events = {max_events} is below 1")
@@ -506,8 +522,7 @@ def evolve_batch(starts, table: BilliardTable, duration: float,
         raise ValueError(f"duration = {duration} is not >= 0")
     starts = list(starts)
     d = table.dim
-    q = np.array([x.q for x in starts], dtype=float).reshape(-1, d)
-    v = np.array([x.v for x in starts], dtype=float).reshape(-1, d)
+    q, v = _start_arrays(starts, d)
     ft = flight_table(table)
     v, errors = _start_velocities(ft, q, v)
     run = [i for i, err in enumerate(errors) if err is None]

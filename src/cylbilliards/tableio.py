@@ -23,7 +23,7 @@ from .errors import TableFormatError
 from .flow import OrbitSegment
 from .geometry import BilliardTable, build_cylinder, build_table, validate_table
 from .hyperbolicity import SurveyResult
-from .tangent import LyapunovReport
+from .tangent import LyapunovReport, NormalSamples
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +251,15 @@ def write_segment_json(segment: OrbitSegment, path, meta: dict) -> None:
     Path(path).write_text(text + "\n")
 
 
-def write_qmonitor_csv(samples, path, meta: dict) -> None:
-    """Rows (time, z coords, w coords, q_value) along a normal-vector run."""
+def write_qmonitor_csv(samples: NormalSamples, path, meta: dict) -> None:
+    """Rows (time, z coords, w coords, q_value) along a normal-vector run,
+    one per sample, rendered from the columns of ``samples``."""
     if not samples:
         raise ValueError("no samples to write")
-    times, vectors, q_values = zip(*samples)
-    z = np.array([nv.z for nv in vectors])
-    w = np.array([nv.w for nv in vectors])
-    d = z.shape[1]
+    d = samples.z.shape[1]
     header = ["time"] + [f"z_{i}" for i in range(d)] + [f"w_{i}" for i in range(d)] + ["Q"]
     template = ",".join(["%.17g"] * (2 * d + 2)) + "\r\n"
-    rows = map(tuple, np.column_stack([times, z, w, q_values]).tolist())
+    rows = map(tuple, np.column_stack([samples.time, samples.z, samples.w, samples.q_value]).tolist())
     _csv_rows(path, meta, header, template, rows)
 
 

@@ -16,17 +16,21 @@ transport loop carries 2d-wide rows [dq | dv] through a segment: an in-place
 shear per flight, one product with a 2d x 2d step matrix per collision.
 Frames, Lyapunov spectra and the derivative-kernel neutral space run through
 it, and so do normal vectors as rows [w | -z], on which the adjoint law is
-the tangent law.
+the tangent law. A normal-vector run returns its samples as read-only
+columns (time, z, w, q_value), one row per sample; the per-sample
+(time, NormalVector, q_value) tuples are built only when a caller indexes
+or iterates them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularityEncountered, TangentialEvent
+from .errors import DimensionMismatch, SingularityEncountered, TangentialEvent
 from .flow import (
     BUDGET_EXCEEDED,
     EPS_TANG,
@@ -62,6 +66,43 @@ def normal_vector(z, w) -> NormalVector:
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
     return NormalVector(z, w, float(z @ w))
+
+
+@dataclass(frozen=True, eq=False)
+class NormalSamples:
+    """The samples of a normal-vector run stored as read-only columns: entry
+    k of each (N,) column and row k of each (N, d) column belong to sample
+    k. ``samples`` builds the (time, NormalVector, q_value) tuples, whose
+    arrays are row views of the columns, on first use; indexing and
+    iteration go through it, and ``len`` is N."""
+
+    time: np.ndarray  # (N,)
+    z: np.ndarray  # (N, d)
+    w: np.ndarray  # (N, d)
+    q_value: np.ndarray  # (N,) <z, w> of each sample
+
+    @cached_property
+    def samples(self) -> tuple[tuple[float, NormalVector, float], ...]:
+        return tuple((t, NormalVector(z, w, q), q)
+                     for t, z, w, q in zip(self.time.tolist(), self.z, self.w, self.q_value.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, index):
+        return self.samples[index]
+
+    def __iter__(self):
+        return iter(self.samples)
+
+
+def _require_width(segment: OrbitSegment, **arrays) -> None:
+    """DimensionMismatch unless the last axis of each named array has the
+    length of the segment's table dimension."""
+    d = segment.table.dim
+    for name, array in arrays.items():
+        if np.shape(array)[-1:] != (d,):
+            raise DimensionMismatch(f"{name} has shape {np.shape(array)}, the segment's table has dimension {d}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,25 +215,31 @@ def transport(x: np.ndarray, segment: OrbitSegment, visit=None, stop: int | None
 
 
 def evolve_tangent(tv: TangentVector, segment: OrbitSegment) -> TangentVector:
-    """Transport a tangent vector across the whole segment."""
+    """Transport a tangent vector across the whole segment. Raises
+    DimensionMismatch unless dq and dv have the table's dimension."""
+    _require_width(segment, dq=tv.dq, dv=tv.dv)
     dqs, dvs = evolve_frame(np.atleast_2d(tv.dq), np.atleast_2d(tv.dv), segment)
     return TangentVector(dqs[0], dvs[0])
 
 
 def evolve_frame(dqs: np.ndarray, dvs: np.ndarray, segment: OrbitSegment,
                  ops_list: list[CollisionOperators] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Transport a row-stacked frame across the whole segment."""
+    """Transport a row-stacked frame across the whole segment. Raises
+    DimensionMismatch unless its rows have the table's dimension."""
+    _require_width(segment, dq=dqs, dv=dvs)
     return tuple(np.hsplit(transport(np.hstack([dqs, dvs]), segment, ops_list=ops_list), 2))
 
 
-def evolve_normal(n: NormalVector, segment: OrbitSegment,
-                  rescale: bool = False) -> list[tuple[float, NormalVector, float]]:
+def evolve_normal(n: NormalVector, segment: OrbitSegment, rescale: bool = False) -> NormalSamples:
     """Transport a separating-manifold normal vector along the segment.
 
-    Returns samples (time, vector, q_value) at the segment start, before and
-    after every collision, and at the segment end. During a flight of length
-    t the pair evolves as (z, w - t z), so q_value drops by exactly t|z|^2;
-    across a collision it can only decrease.
+    Returns NormalSamples: columns time, z, w and q_value with one row per
+    sample, taken at the segment start, before and after every collision,
+    and at the segment end. During a flight of length t the pair evolves as
+    (z, w - t z), so q_value drops by exactly t|z|^2; across a collision it
+    can only decrease. Indexing or iterating the result gives the samples as
+    (time, NormalVector, q_value) tuples. Raises DimensionMismatch unless z
+    and w have the table's dimension.
 
     Components of n grow roughly like the tangent dynamics, so double
     precision overflows after one to a few hundred collisions (about 110 on
@@ -202,7 +249,8 @@ def evolve_normal(n: NormalVector, segment: OrbitSegment,
     by a positive factor, so the sign of q_value is unaffected. The sample
     pattern is then (start, [pre, post, renorm]*, end).
     """
-    d = np.shape(n.z)[0]
+    _require_width(segment, z=n.z, w=n.w)
+    d = segment.table.dim
     per = 3 if rescale else 2
     # The adjoint step [[R, -G], [0, R]] on (z, w) is the tangent step on
     # (w, -z), so the rows are [w | -z]; each sample gets its own row.
@@ -221,9 +269,12 @@ def evolve_normal(n: NormalVector, segment: OrbitSegment,
 
     rows[-1] = transport(rows[0], segment, visit=record)
     rows[:, d:] *= -1.0  # now [w | z]
-    q_values = np.einsum("ij,ij->i", rows[:, d:], rows[:, :d]).tolist()
-    times = np.concatenate([[0.0], np.repeat(segment.time, per), [segment.duration]]).tolist()
-    return [(t, NormalVector(row[d:], row[:d], q), q) for t, row, q in zip(times, rows, q_values)]
+    z, w = rows[:, d:], rows[:, :d]
+    columns = dict(time=np.concatenate([[0.0], np.repeat(segment.time, per), [segment.duration]]),
+                   z=z, w=w, q_value=np.einsum("ij,ij->i", z, w))
+    for column in columns.values():
+        column.flags.writeable = False
+    return NormalSamples(**columns)
 
 
 def time_reverse(obj):
@@ -267,7 +318,8 @@ def lyapunov_spectrum(x: PhasePoint | None, table: BilliardTable, duration: floa
     A singularity or event-budget flag aborts with ``SingularityEncountered``
     carrying the partial report. A tangential or double event has no
     derivative, so transport stops just before it, after the flight into it.
-    Raises ValueError unless duration > 0 and renorm_interval >= 1.
+    Raises ValueError unless duration > 0 and renorm_interval >= 1, and
+    DimensionMismatch unless x has the table's dimension.
     """
     if not duration > 0:
         raise ValueError(f"duration = {duration} is not positive")

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cylbilliards import (
+    DimensionMismatch,
     OutwardVelocity,
     PhasePoint,
     StartsInsideScatterer,
@@ -19,6 +20,7 @@ from cylbilliards import (
     cylinder_distance,
     evolve,
     evolve_batch,
+    lyapunov_spectrum,
     next_collision,
     phase_point,
     random_phase_point,
@@ -782,3 +784,21 @@ class TestEndings:
         clear = random_phase_point(sinai2, np.random.default_rng(9))
         with pytest.raises(ValueError, match=r"start 1: \|v\|"):
             evolve_batch([clear, x], sinai2, 5.0)
+
+    @pytest.mark.parametrize("q, v, wrong", [([0.5, 0.1, 0.3, 0.2], [0.6, 0.8, 0.0, 0.0], r"q has shape \(4,\)"),
+                                             ([0.5, 0.1], [0.6, 0.8, 0.0], r"v has shape \(3,\)"),
+                                             ([0.5], [1.0], r"q has shape \(1,\)")], ids=["both-4", "v-3", "both-1"])
+    def test_start_of_another_dimension_rejected(self, sinai2, q, v, wrong):
+        # Stacked with the other starts, a 4-coordinate start on the 2-torus
+        # used to be read as two starts.
+        x = PhasePoint(np.array(q), np.array(v))
+        message = rf"{wrong}, the table has dimension 2"
+        with pytest.raises(DimensionMismatch, match="start 0: " + message):
+            evolve(x, sinai2, 5.0)
+        with pytest.raises(DimensionMismatch, match="start 0: " + message):
+            next_collision(x, sinai2, 5.0)
+        with pytest.raises(DimensionMismatch, match="start 0: " + message):
+            lyapunov_spectrum(x, sinai2, 5.0)
+        clear = random_phase_point(sinai2, np.random.default_rng(9))
+        with pytest.raises(DimensionMismatch, match="start 1: " + message):
+            evolve_batch([clear, x, clear], sinai2, 5.0)

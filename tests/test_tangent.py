@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylbilliards import (
+    DimensionMismatch,
+    NormalSamples,
+    NormalVector,
     PhasePoint,
     SingularityEncountered,
     TangentialEvent,
@@ -27,9 +32,10 @@ from cylbilliards import (
     time_reverse,
     validate_table,
 )
-from cylbilliards.tangent import BLOCK, evolve_frame, segment_operators
+from cylbilliards.tangent import BLOCK, evolve_frame, segment_operators, transport
 
 from conftest import flow_map, segment_with_events
+from test_flow import same_bits
 
 coord = st.floats(-2.0, 2.0)
 vec2 = st.lists(coord, min_size=2, max_size=2).map(np.array)
@@ -520,3 +526,118 @@ class TestStackedAlgebra:
         # sit in rounding noise that any change of operation order moves.
         assert diff[:table.dim - 1].max() <= 1e-9
         assert diff.max() <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# Normal-vector samples as columns against the per-sample list that
+# evolve_normal built before it returned columns.
+# ---------------------------------------------------------------------------
+
+def reference_samples(n, segment, rescale):
+    """(time, NormalVector, q_value) per sample, one tuple per row of the
+    transported rows [w | -z], as the per-sample builder made them."""
+    d = np.shape(n.z)[0]
+    per = 3 if rescale else 2
+    rows = np.empty((per * segment.n_events + 2, 2 * d))
+    rows[0, :d], rows[0, d:] = n.w, -np.asarray(n.z)
+
+    def record(k, pre, post, step):
+        j = per * k + 1
+        rows[j], rows[j + 1] = pre, post
+        if rescale:
+            scale = math.sqrt(post @ post)
+            if scale > 0:
+                post = post / scale
+            rows[j + 2] = post
+        return post
+
+    rows[-1] = transport(rows[0], segment, visit=record)
+    rows[:, d:] *= -1.0  # now [w | z]
+    q_values = np.einsum("ij,ij->i", rows[:, d:], rows[:, :d]).tolist()
+    times = np.concatenate([[0.0], np.repeat(segment.time, per), [segment.duration]]).tolist()
+    return [(t, NormalVector(row[d:], row[:d], q), q) for t, row, q in zip(times, rows, q_values)]
+
+
+def assert_same_samples(got, want):
+    """Equal tuple by tuple and field by field, to the bit."""
+    assert len(got) == len(want)
+    for (t, nv, q), (t_ref, nv_ref, q_ref) in zip(got, want):
+        assert type(t) is float and type(q) is float and isinstance(nv, NormalVector)
+        assert same_bits(t, t_ref) and same_bits(q, q_ref) and same_bits(nv.q_value, q)
+        assert same_bits(nv.z, nv_ref.z) and same_bits(nv.w, nv_ref.w)
+
+
+# Event counts on both sides of a block edge, and a budget-truncated run.
+SAMPLE_LENGTHS = (0, 1, BLOCK - 1, BLOCK + 1, 300, "budget")
+
+
+@pytest.fixture(scope="module", params=["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4", "hs4x2",
+                                        "wide5"])
+def sample_segments(request):
+    table = request.getfixturevalue(request.param)
+    rng = np.random.default_rng(43)
+    segs = {n: segment_with_events(table, rng, n) for n in SAMPLE_LENGTHS if n not in (0, "budget")}
+    segs[0] = evolve(segs[1].start, table, 0.5 * segs[1].time[0])
+    assert segs[0].n_events == 0
+    segs["budget"] = None
+    while segs["budget"] is None or segs["budget"].singular_flag.kind != "budget_exceeded":
+        segs["budget"] = evolve(random_phase_point(table, rng), table, 1e9, max_events=40)
+    return table, segs
+
+
+class TestNormalSamples:
+    # Unrescaled vectors overflow within 300 collisions; the overflowed
+    # samples must still match to the bit.
+    @pytest.mark.parametrize("rescale", [False, True])
+    @pytest.mark.parametrize("n", SAMPLE_LENGTHS)
+    def test_columns_and_samples_are_the_reference(self, sample_segments, n, rescale):
+        table, segs = sample_segments
+        seg = segs[n]
+        rng = np.random.default_rng(seg.n_events)
+        n0 = normal_vector(rng.normal(size=table.dim), rng.normal(size=table.dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = evolve_normal(n0, seg, rescale=rescale)
+            ref = reference_samples(n0, seg, rescale)
+        count = (3 if rescale else 2) * seg.n_events + 2
+        assert isinstance(got, NormalSamples)
+        assert len(got) == len(ref) == count
+        times, vectors, q_values = zip(*ref)
+        assert same_bits(got.time, np.array(times)) and same_bits(got.q_value, np.array(q_values))
+        assert same_bits(got.z, np.array([nv.z for nv in vectors]))
+        assert same_bits(got.w, np.array([nv.w for nv in vectors]))
+        for column in (got.time, got.z, got.w, got.q_value):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        # Every sample by index from either end, by slice and by iteration;
+        # the vectors are row views of the columns.
+        assert_same_samples([got[k] for k in range(count)], ref)
+        assert_same_samples([got[k] for k in range(-count, 0)], ref)
+        for part in (slice(1, 4), slice(None, None, -3), slice(-3, None), slice(count, None)):
+            assert_same_samples(got[part], ref[part])
+        assert_same_samples(list(got), ref)
+        assert np.shares_memory(got[-1][1].z, got.z) and np.shares_memory(got[-1][1].w, got.w)
+
+    def test_grazing_segment_raises(self, dense3):
+        # The rescaled run is TestSingularOrbits' case.
+        seg = evolve(tangential_dense3_start(), dense3, 1e12)
+        with pytest.raises(TangentialEvent):
+            evolve_normal(normal_vector([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), seg)
+
+
+class TestVectorDimension:
+    def test_vectors_of_another_dimension_rejected(self, ortho3):
+        seg = segment_with_events(ortho3, np.random.default_rng(5), 3)
+        two = r" has shape \(2,\), the segment's table has dimension 3"
+        with pytest.raises(DimensionMismatch, match="z" + two):
+            evolve_normal(normal_vector([1.0, 0.0], [0.0, 1.0]), seg)
+        with pytest.raises(DimensionMismatch, match="w" + two):
+            evolve_normal(NormalVector(np.ones(3), np.ones(2), 0.0), seg, rescale=True)
+        with pytest.raises(DimensionMismatch, match="dq" + two):
+            evolve_tangent(TangentVector(np.ones(2), np.ones(2)), seg)
+        with pytest.raises(DimensionMismatch, match="dv" + two):
+            evolve_tangent(TangentVector(np.ones(3), np.ones(2)), seg)
+        with pytest.raises(DimensionMismatch, match=r"dq has shape \(4, 2\)"):
+            evolve_frame(np.ones((4, 2)), np.ones((4, 2)), seg)
+        with pytest.raises(DimensionMismatch, match=r"dv has shape \(4, 4\)"):
+            evolve_frame(np.ones((4, 3)), np.ones((4, 4)), seg)
