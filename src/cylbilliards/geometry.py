@@ -194,16 +194,17 @@ class BilliardTable:
 
 class BaseRanks:
     """Exact ranks of a table's base spaces, each computed once: every pair
-    intersection dimension up front, and the span dimension and trivially
-    neutral dimension of a set of cylinders on first request. Cylinder
-    indices are 1-based, matching symbolic sequences."""
+    intersection dimension up front, and the span dimension, graph
+    components and component spans of a set of cylinders on first request.
+    Cylinder indices are 1-based, matching symbolic sequences."""
 
     def __init__(self, cylinders):
         self._dim = cylinders[0].ambient_dim
         self._bases = {i: [list(r) for r in c.base.integer_basis]
                        for i, c in enumerate(cylinders, start=1)}
         self._span_dims: dict[tuple[int, ...], int] = {}
-        self._trivial_dims: dict[tuple[int, ...], int] = {}
+        self._components: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        self._component_spans: dict[tuple[int, ...], tuple[np.ndarray, tuple[np.ndarray, ...]]] = {}
         # dim(A ∩ B) = dim A + dim B - dim(A + B); integer bases are independent.
         self.pair_dims = {(a, b): len(self._bases[a]) + len(self._bases[b]) - self.span_dim((a, b))
                           for a, b in itertools.combinations(self._bases, 2)}
@@ -215,20 +216,43 @@ class BaseRanks:
             dim = self._span_dims[indices] = rational_rank([row for i in indices for row in self._bases[i]])
         return dim
 
-    def trivial_neutral_dim(self, indices: tuple[int, ...]) -> int:
-        """dim T = m + d - span_dim for a segment that visits exactly these
-        cylinders (sorted), where m counts the components of their
-        non-orthogonality graph. T, spanned by the projection of the
-        velocity onto each component's span and by the complement of the
-        whole span, is exactly neutral, so no segment's neutral space is
-        smaller."""
-        dim = self._trivial_dims.get(indices)
-        if dim is None:
+    def components(self, indices: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """The components of the non-orthogonality graph of the base spaces
+        of these cylinders (sorted), each as its sorted cylinder indices."""
+        found = self._components.get(indices)
+        if found is None:
             bases = [self._bases[i] for i in indices]
             adjacency = [[not _orthogonal(a, b) for b in bases] for a in bases]
-            dim = self._trivial_dims[indices] = (len(_connected_components(adjacency)) + self._dim
-                                                 - self.span_dim(indices))
-        return dim
+            found = self._components[indices] = tuple(tuple(indices[j - 1] for j in component)
+                                                      for component in _connected_components(adjacency))
+        return found
+
+    def trivial_neutral_dim(self, indices: tuple[int, ...]) -> int:
+        """dim T = m + d - span_dim for a segment that visits exactly these
+        cylinders (sorted), where m counts their ``components``. T, spanned
+        by the projection of the velocity onto each component's span and by
+        the complement of the whole span, is exactly neutral, so no
+        segment's neutral space is smaller."""
+        return len(self.components(indices)) + self._dim - self.span_dim(indices)
+
+    def component_spans(self, indices: tuple[int, ...]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """For a segment that visits exactly these cylinders (sorted): the
+        number of each visited cylinder's component, indexed by its 0-based
+        cylinder id (-1 for a cylinder not visited), and per component
+        orthonormal float rows spanning its base spaces, split at the exact
+        rank. The arrays are read-only, as every caller shares them."""
+        found = self._component_spans.get(indices)
+        if found is None:
+            comp_of = np.full(len(self._bases), -1)
+            rows = []
+            for j, component in enumerate(self.components(indices)):
+                comp_of[[i - 1 for i in component]] = j
+                mat = np.array([row for i in component for row in self._bases[i]], dtype=float)
+                rows.append(span_split(mat, self.span_dim(component))[0])
+                rows[-1].flags.writeable = False
+            comp_of.flags.writeable = False
+            found = self._component_spans[indices] = (comp_of, tuple(rows))
+        return found
 
 
 _BASE_RANKS: "weakref.WeakKeyDictionary[BilliardTable, BaseRanks]" = weakref.WeakKeyDictionary()

@@ -20,11 +20,23 @@ The surviving rows span the neutral space; the segment is sufficient
 velocity. That space always contains T, spanned by the projection of the
 velocity onto the span of each component of the non-orthogonality graph of
 the visited base spaces and by the complement of their whole span, so a walk
-from I_d with dim T rows left has nothing more to cut: it decides no rank
-there and only carries its images and advances on. The same walk from a
-single row gives that row's advance tuple. An independent derivative-kernel
-method, a forward sweep of the linearized flow, computes the same space and
-serves as a cross-check.
+from I_d with dim T rows left has nothing more to cut.
+
+Its remaining advances are known in closed form. Let C be a component and
+P_C the projector onto the span of its base spaces; the spans of different
+components are orthogonal. W = P_C v_0 is neutral with W_k = P_C v_k and
+advance 1 at C's collisions and 0 at all others: the jump at a collision of
+C is a reflection within C's span, which P_C v follows and whose length it
+keeps, and a jump elsewhere is orthogonal to that span and leaves P_C v
+unchanged. So |P_C v_k| = |P_C v_0|, which is positive because v has a
+nonzero base component at each collision of C. A row of the complement of
+the visited span has advance 0. Once the walk has dim T rows, every row w
+lies in T, so its advance at any later collision of C is
+<w, P_C v_0> / |P_C v_0|^2: the walk leaves its loop there and fills the
+rest with one gather. The same walk from a single row decides every
+collision and gives that row's advance tuple. An independent
+derivative-kernel method, a forward sweep of the linearized flow, computes
+the same space and serves as a cross-check.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptySequence, NotNeutralError, SingularSegment, UnknownCylinderIndex
 from .flow import (OrbitSegment, PhasePoint, _random_starts, evolve_batch, flight_table, is_singular,
                    _lockstep_parts)
-from .geometry import BilliardTable, base_ranks
+from .geometry import BilliardTable, Cylinder, base_ranks
 from .linalg import span_split
 from .tangent import transport
 
@@ -99,13 +111,23 @@ def _require_nonsingular(segment: OrbitSegment) -> None:
 def _segment_dim(segment: OrbitSegment, table: BilliardTable | None) -> int:
     """The segment's dimension; the walks read its table's cylinders. Raises
     DimensionMismatch for a ``table`` of another dimension, and ValueError
-    for one whose cylinders are not those of the segment's table."""
+    for one whose cylinders are not those of the segment's table: the same
+    objects, or cylinders of the same exact definition, as a table loaded
+    again from the same scenario has."""
     d = segment.table.dim
     if table is not None and table.dim != d:
         raise DimensionMismatch(f"table has dimension {table.dim}, the segment's table {d}")
-    if table is not None and table.cylinders != segment.table.cylinders:
+    if table is not None and not (len(table.cylinders) == len(segment.table.cylinders)
+                                  and all(map(_same_cylinder, table.cylinders, segment.table.cylinders))):
         raise ValueError("table has other cylinders than the segment's table")
     return d
+
+
+def _same_cylinder(a: Cylinder, b: Cylinder) -> bool:
+    """Whether two cylinders are one object or have the same exact
+    definition: generator integer basis, translation bits and radius."""
+    return a is b or (a.generator.integer_basis == b.generator.integer_basis
+                      and a.translation.tobytes() == b.translation.tobytes() and a.radius == b.radius)
 
 
 def _rank(s: np.ndarray, threshold: float, kept: list, dropped: list) -> int:
@@ -120,10 +142,15 @@ def _rank(s: np.ndarray, threshold: float, kept: list, dropped: list) -> int:
     return rank
 
 
+def _visited(cylinder_id) -> tuple[int, ...]:
+    """The sorted 1-based cylinders of a segment's 0-based cylinder ids."""
+    return tuple(c + 1 for c in sorted(set(cylinder_id)))
+
+
 def _trivial_dim(table: BilliardTable, cylinder_id) -> int:
     """dim T of a segment from its 0-based cylinder ids (see the module
     docstring)."""
-    return base_ranks(table).trivial_neutral_dim(tuple(sorted({c + 1 for c in cylinder_id})))
+    return base_ranks(table).trivial_neutral_dim(_visited(cylinder_id))
 
 
 def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult:
@@ -133,8 +160,9 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
     orthonormal input stays orthonormal. Raises NotNeutralError, with the
     smallest residual singular value, at a collision that drops every row.
 
-    A walk from d rows, the whole space, decides no more ranks once it has
-    at most dim T rows: it only carries its images and advances on, so its
+    A walk from d rows, the whole space, stops once it has at most dim T
+    rows: every row then lies in T, and the advances of the remaining
+    collisions are filled in closed form (see the module docstring). Its
     rank margins cover its first ``decided`` collisions.
     """
     basis = images = rows
@@ -142,30 +170,39 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
     advances = np.zeros((rows.shape[0], n))
     kept, dropped = [], []
     bases = [c.base_basis for c in segment.table.cylinders]
-    cids = segment.cylinder_id.tolist()
-    v_base, v_sq = _base_velocities([segment], bases, n)
-    jumps = segment.v_post - segment.v_pre
-    floor = _trivial_dim(segment.table, cids) if len(rows) == segment.table.dim else 0
+    ranks = base_ranks(segment.table)
+    visited = _visited(segment.cylinder_id.tolist())
+    floor = ranks.trivial_neutral_dim(visited) if len(rows) == segment.table.dim else 0
     decided = 0
-    for k, (c, v_b, v_b_sq, jump) in enumerate(zip(cids, v_base[0], v_sq[0].tolist(), jumps)):
+    # A walk from I_d mostly reaches dim T within a few collisions.
+    for k, (c, v_b, v_b_sq, jump) in enumerate(_collisions(segment, bases, 8 if floor else n)):
+        if len(basis) <= floor:
+            # Every row lies in T: one advance per row and component.
+            comp_of, spans = ranks.component_spans(visited)
+            v0 = segment.v_pre[0]
+            coeff = np.empty((len(basis), len(spans)))
+            for j, span in enumerate(spans):
+                x = span @ v0
+                coeff[:, j] = basis @ span.T @ x / (x @ x)
+            advances[:, k:] = coeff[:, comp_of[segment.cylinder_id[k:]]]
+            break
         base_rows = bases[c]
         v_b = v_b[:len(base_rows)]
         w_b = images @ base_rows.T
         alpha = w_b @ v_b / v_b_sq
-        if len(basis) > floor:
-            decided = k + 1
-            u, s, _ = np.linalg.svd(w_b - alpha[:, None] * v_b)
-            # Absolute and scaled by max(1, |W_k|_2): a threshold relative to
-            # the largest residual would drop the velocity direction (see
-            # README). |W_k|_2^2 is the top eigenvalue of the p x p Gram
-            # matrix, a third of the cost of np.linalg.norm(images, 2).
-            threshold = ADVANCE_ATOL * math.sqrt(max(1.0, float(np.linalg.eigvalsh(images @ images.T)[-1])))
-            rank = _rank(s, threshold, kept, dropped)
-            if rank:
-                if rank == basis.shape[0]:
-                    raise NotNeutralError(k, float(s[-1]))
-                keep = u[:, rank:].T
-                basis, images, advances, alpha = keep @ basis, keep @ images, keep @ advances, keep @ alpha
+        decided = k + 1
+        u, s, _ = np.linalg.svd(w_b - alpha[:, None] * v_b)
+        # Absolute and scaled by max(1, |W_k|_2): a threshold relative to
+        # the largest residual would drop the velocity direction (see
+        # README). |W_k|_2^2 is the top eigenvalue of the p x p Gram
+        # matrix, a third of the cost of np.linalg.norm(images, 2).
+        threshold = ADVANCE_ATOL * math.sqrt(max(1.0, float(np.linalg.eigvalsh(images @ images.T)[-1])))
+        rank = _rank(s, threshold, kept, dropped)
+        if rank:
+            if rank == basis.shape[0]:
+                raise NotNeutralError(k, float(s[-1]))
+            keep = u[:, rank:].T
+            basis, images, advances, alpha = keep @ basis, keep @ images, keep @ advances, keep @ alpha
         advances[:, k] = alpha
         images = images + alpha[:, None] * jump
     return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
@@ -173,15 +210,30 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
                               smallest_dropped_sv=min(dropped, default=None))
 
 
-def _base_velocities(segments, bases, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per segment and event, the base velocity B_k v_k of the cylinder hit,
-    padded to the largest base rank and to ``n_max`` events, and its squared
-    length |B_k v_k|^2."""
-    v_base = np.zeros((len(segments), n_max, max((len(b) for b in bases), default=0)))
+def _collisions(segment: OrbitSegment, bases, block: int):
+    """Per collision: the 0-based cylinder id, the base velocity from
+    ``_base_velocities``, its squared length and the velocity jump. Read a
+    block at a time, from ``block`` collisions doubling, so that a walk
+    that stops early reads few."""
+    start, n = 0, segment.n_events
+    while start < n:
+        stop = min(n, start + block)
+        v_base, v_sq = _base_velocities([segment], bases, stop, start)
+        yield from zip(segment.cylinder_id[start:stop].tolist(), v_base[0], v_sq[0].tolist(),
+                       segment.v_post[start:stop] - segment.v_pre[start:stop])
+        start, block = stop, 2 * block
+
+
+def _base_velocities(segments, bases, stop: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment and event k in [start, stop), the base velocity B_k v_k
+    of the cylinder hit, padded to the largest base rank and to
+    ``stop - start`` events, and its squared length |B_k v_k|^2."""
+    v_base = np.zeros((len(segments), stop - start, max((len(b) for b in bases), default=0)))
     for i, seg in enumerate(segments):
-        for c in set(seg.cylinder_id.tolist()):
-            at = (seg.cylinder_id == c).nonzero()[0]
-            v_base[i, at, :len(bases[c])] = (bases[c] @ seg.v_pre[at][:, :, None])[:, :, 0]
+        ids, v_pre = seg.cylinder_id[start:stop], seg.v_pre[start:stop]
+        for c in set(ids.tolist()):
+            at = (ids == c).nonzero()[0]
+            v_base[i, at, :len(bases[c])] = (bases[c] @ v_pre[at][:, :, None])[:, :, 0]
     return v_base, (v_base[:, :, None, :] @ v_base[:, :, :, None])[:, :, 0, 0]
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -31,7 +33,8 @@ from cylbilliards import (
 from cylbilliards import (StartsInsideScatterer, build_cylinder, build_table, geometry, hyperbolicity,
                           transitivity_report, validate_table)
 from cylbilliards.hyperbolicity import ADVANCE_ATOL, ADVANCE_SYSTEM, NeutralSpaceResult, _rank
-from cylbilliards.linalg import rational_rank
+from cylbilliards.linalg import integer_rref, rational_rank
+from cylbilliards.tableio import load_scenario
 
 from conftest import clean, segment_with_events, subspace_angle
 
@@ -101,6 +104,20 @@ class TestNeutralSpaceAdvance:
         again = validate_table(build_table(seg.table.cylinders))
         for call in calls:
             call(seg, table=again)
+
+    def test_table_loaded_twice_accepted(self, tmp_path):
+        # Each load builds new Cylinder objects of the same exact definition.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"table": {"dimension": 3, "cylinders": [
+            {"generator": [[1, 0, 0]], "translation": [0.0, 0.0, 0.0], "radius": 0.2},
+            {"generator": [[0, 1, 0]], "translation": [0.5, 0.5, 0.5], "radius": 0.2}]}}))
+        first, second = load_scenario(path).table, load_scenario(path).table
+        assert not set(first.cylinders) & set(second.cylinders)
+        seg = segment_with_events(first, np.random.default_rng(8), 38)
+        for call in (neutral_space_advance, neutral_space_numeric, lambda *a: sufficiency(*a).witness):
+            got, want = call(seg, second), call(seg)
+            assert (got.basis.tobytes(), got.advances) == (want.basis.tobytes(), want.advances)
+        assert advance_functionals(seg, seg.start.v, second) == advance_functionals(seg, seg.start.v)
 
     def test_monotone_refinement(self, ortho3):
         # Appending collisions never increases the neutral dimension.
@@ -220,12 +237,70 @@ def reference_forward_walk(segment, rows, floor=0):
                               smallest_dropped_sv=min(dropped, default=None))
 
 
+def exact_component_advance(segment, w, members):
+    """<w, P_C v0> / |P_C v0|^2 and |P_C v0|^2 as exact rationals of the
+    float w and v0, where P_C projects onto the span of the base spaces of
+    the cylinders ``members`` (1-based): their integer rows, reduced by
+    integer_rref to independent ones, orthogonalized over the rationals."""
+    rows, _ = integer_rref([row for i in members for row in segment.table.cylinder(i).base.integer_basis])
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    ortho = []
+    for row in rows:
+        u = [Fraction(x) for x in row]
+        for o, oo in ortho:
+            f = dot(u, o) / oo
+            u = [a - f * b for a, b in zip(u, o)]
+        ortho.append((u, dot(u, u)))
+    w, v0 = ([Fraction(x) for x in vec.tolist()] for vec in (w, segment.v_pre[0]))
+    norm_sq = sum(dot(v0, o) ** 2 / oo for o, oo in ortho)
+    return sum(dot(w, o) * dot(v0, o) / oo for o, oo in ortho) / norm_sq, norm_sq
+
+
+def assert_tail_is_closed_form(segment, got, want):
+    """The advances of a walk from I_d past its ``decided`` collisions.
+
+    Each is within 4 ulp of the exact ``exact_component_advance`` of its
+    row and of the component of the cylinder hit. The ulp is taken at
+    1/|P_C v0| when the value is smaller: that is the largest value the
+    quotient takes for a unit row, and a float inner product errs by some
+    ulp of the product of its factors' norms, not of its value. The
+    per-collision recurrence errs by 15 to 100 such ulp at n = 300. Each
+    is also within 1e-12 of the reference walk's, and every row's
+    advance-system residual stays below the walk's threshold at every
+    collision."""
+    advances = np.array(got.advances).reshape(got.dim, segment.n_events)
+    visited = sorted(set(segment.symbolic))
+    symbolic = np.array(segment.symbolic)
+    for component in transitivity_report([segment.table.cylinder(i).base for i in visited]).graph_components:
+        members = [visited[j - 1] for j in component]
+        hits = np.isin(symbolic, members).nonzero()[0]
+        hits = hits[hits >= got.decided]
+        for w, alphas in zip(got.basis, advances):
+            exact, norm_sq = exact_component_advance(segment, w, members)
+            ulp = Fraction(math.ulp(max(abs(float(exact)), 1.0 / math.sqrt(norm_sq))))
+            assert all(abs(Fraction(a) - exact) <= 4 * ulp for a in alphas[hits].tolist())
+    tail = slice(got.decided, None)
+    assert np.abs(advances[:, tail] - np.array(want.advances).reshape(advances.shape)[:, tail]).max(initial=0.0) \
+        <= 1e-12
+    images = got.basis
+    for cid, v_pre, v_post, alpha in zip(segment.cylinder_id.tolist(), segment.v_pre, segment.v_post, advances.T):
+        base_rows = segment.table.cylinders[cid].base_basis
+        residual = np.linalg.norm((images - np.outer(alpha, v_pre)) @ base_rows.T, axis=1)
+        assert (residual < ADVANCE_ATOL * np.maximum(1.0, np.linalg.norm(images, axis=1))).all()
+        images = images + np.outer(alpha, v_post - v_pre)
+
+
 def assert_walk_is_reference(segment, rows):
     """``_forward_walk`` is bitwise the reference walk, NotNeutralError
-    included. A walk from the whole space decides ranks only until it has
-    dim T rows, so its margins are the reference's over those collisions.
-    From I_d it is also the witness of ``sufficiency`` and
-    ``neutral_space_advance``."""
+    included, except for the advances of a walk from the whole space past
+    its ``decided`` collisions. That walk decides ranks only until it has
+    dim T rows, so its margins are the reference's over those collisions,
+    and it fills the remaining advances in closed form, which
+    ``assert_tail_is_closed_form`` checks. From I_d it is also the witness
+    of ``sufficiency`` and ``neutral_space_advance``."""
     floor = trivial_dim(segment) if len(rows) == segment.table.dim else 0
     try:
         want = reference_forward_walk(segment, rows, floor)
@@ -239,9 +314,14 @@ def assert_walk_is_reference(segment, rows):
         walks += [sufficiency(segment).witness, neutral_space_advance(segment)]
     for got in walks:
         assert got.basis.tobytes() == want.basis.tobytes()
-        assert np.array(got.advances).tobytes() == np.array(want.advances).tobytes()
         assert (got.dim, got.decided, got.largest_kept_sv, got.smallest_dropped_sv) == \
             (want.dim, want.decided, want.largest_kept_sv, want.smallest_dropped_sv)
+        head = [alphas[:got.decided] for alphas in got.advances]
+        assert np.array(head).tobytes() == np.array([alphas[:want.decided] for alphas in want.advances]).tobytes()
+        if floor:
+            assert_tail_is_closed_form(segment, got, want)
+        else:
+            assert got.decided == segment.n_events
 
 
 class TestForwardWalk:
@@ -327,6 +407,10 @@ class TestForwardWalk:
             assert [reference_forward_walk(evolve(x, ortho3, 1e6, max_events=m), rows).dim
                     for m in (1, late, late + 1)] == [2, 2, 1]
             assert_walk_is_reference(seg, rows)
+        # Past the cut the one row's tail is one value, the velocity's 1 up
+        # to sign.
+        res = sufficiency(seg).witness
+        assert res.decided == late + 1 and len(set(res.advances[0][late + 1:])) == 1
 
     def test_dense3_shared_axis_is_neutral(self, dense3):
         seg = _long_segment(dense3, 32)
@@ -334,6 +418,76 @@ class TestForwardWalk:
         assert res.dim == 2
         e3 = np.array([0.0, 0.0, 1.0])
         assert np.linalg.norm(res.basis.T @ (res.basis @ e3) - e3) < 1e-10
+
+
+class TestClosedFormTail:
+    """A walk from I_d fills the advances past its ``decided`` collisions
+    from the components of the visited cylinders: one value per row and
+    component."""
+
+    @staticmethod
+    def tail_values(segment, res):
+        """Per visited component (tuples of 1-based cylinders), the set of
+        tail advance vectors over its collisions; one vector per component
+        means the tail is constant there."""
+        advances = np.array(res.advances).reshape(res.dim, segment.n_events)
+        visited = tuple(sorted(set(segment.symbolic)))
+        symbolic = np.array(segment.symbolic)
+        values = {}
+        for component in geometry.base_ranks(segment.table).components(visited):
+            at = np.isin(symbolic, component).nonzero()[0]
+            values[component] = {tuple(col) for col in advances[:, at[at >= res.decided]].T.tolist()}
+        return values
+
+    def test_split4_two_orthogonal_components(self, split4):
+        seg = _long_segment(split4, 33)
+        res = sufficiency(seg).witness
+        assert (res.dim, set(seg.symbolic)) == (2, {1, 2}) and res.decided < 300
+        values = self.tail_values(seg, res)
+        assert list(values) == [(1,), (2,)] and all(len(v) == 1 for v in values.values())
+        # The rows' advances on the two components are independent.
+        assert abs(np.linalg.det(np.array([next(iter(v)) for v in values.values()]))) > 1e-3
+        assert_walk_is_reference(seg, np.eye(4))
+
+    def test_dense3_one_component_of_dependent_rows(self, dense3):
+        seg = _long_segment(dense3, 32)
+        res = sufficiency(seg).witness
+        assert (res.dim, set(seg.symbolic)) == (2, {1, 2})
+        # Both base spaces are span(e1, e2): four integer rows of rank 2.
+        assert rational_rank([row for c in dense3.cylinders for row in c.base.integer_basis]) == 2
+        values = self.tail_values(seg, res)
+        assert list(values) == [(1, 2)] and len(values[1, 2]) == 1
+        assert_walk_is_reference(seg, np.eye(3))
+
+    def test_hs4x2_three_trivially_neutral_rows(self, hs4x2):
+        seg = _long_segment(hs4x2, 18)
+        res = sufficiency(seg).witness
+        assert trivial_dim(seg) == res.dim == 3 and res.decided < 300
+        assert all(len(v) == 1 for v in self.tail_values(seg, res).values())
+        assert_walk_is_reference(seg, np.eye(8))
+
+    def test_visited_sets_do_not_share_projectors(self, ortho3):
+        # The late-cut start meets only cylinder 1 in its first 49
+        # collisions: there T = span(P_1 v0, e1), and over 300 collisions
+        # T = span(v0). Walked in both orders, on two tables of the same
+        # cylinders with their own caches, every witness is the same.
+        x = random_phase_point(ortho3, np.random.default_rng(137))
+        again = validate_table(build_table(ortho3.cylinders))
+        segments = [evolve(x, table, 1e6, max_events=n) for table in (ortho3, again) for n in (40, 300)]
+        assert [set(seg.symbolic) for seg in segments] == [{1}, {1, 2}] * 2
+        first = [sufficiency(seg).witness for seg in segments[:2]]
+        second = [sufficiency(seg).witness for seg in segments[:1:-1]][::-1]
+        for a, b, seg in zip(first, second, segments):
+            assert (a.basis.tobytes(), a.advances, a.decided) == (b.basis.tobytes(), b.advances, b.decided)
+            assert_walk_is_reference(seg, np.eye(3))
+        assert [w.dim for w in first] == [2, 1]
+
+    def test_zero_event_segment_unchanged(self, sinai2):
+        seg = evolve(phase_point([0.4, 0.4], [0.0, 1.0]), sinai2, 0.05)
+        res = sufficiency(seg).witness
+        assert res.basis.tobytes() == np.eye(2).tobytes()
+        assert (res.dim, res.advances, res.decided, res.largest_kept_sv, res.smallest_dropped_sv) == \
+            (2, ((), ()), 0, 0.0, None)
 
 
 class TestTriviallyNeutralSpace:
