@@ -73,7 +73,8 @@ class NeutralSpaceResult:
     decided: int  # collisions whose rank was decided, from the first
     # Rank margins of those decisions, each over its threshold: the largest
     # singular value treated as zero (0.0 if none) and the smallest one
-    # dropped (None if none).
+    # dropped (None if none). A residual of Frobenius norm at most
+    # ADVANCE_ATOL / 2 has rank 0 whatever its threshold and gives none.
     largest_kept_sv: float | None = None
     smallest_dropped_sv: float | None = None
 
@@ -163,7 +164,9 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
     A walk from d rows, the whole space, stops once it has at most dim T
     rows: every row then lies in T, and the advances of the remaining
     collisions are filled in closed form (see the module docstring). Its
-    rank margins cover its first ``decided`` collisions.
+    rank margins cover its first ``decided`` collisions. A collision whose
+    residual is already below half the smallest threshold, as it is at
+    most repeats of the cylinder just hit, is carried on without an SVD.
     """
     basis = images = rows
     n = segment.n_events
@@ -174,8 +177,14 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
     visited = _visited(segment.cylinder_id.tolist())
     floor = ranks.trivial_neutral_dim(visited) if len(rows) == segment.table.dim else 0
     decided = 0
-    # A walk from I_d mostly reaches dim T within a few collisions.
-    for k, (c, v_b, v_b_sq, jump) in enumerate(_collisions(segment, bases, 8 if floor else n)):
+    # A residual of Frobenius norm at most half the smallest threshold,
+    # ADVANCE_ATOL, has rank 0 whatever its threshold, as no singular value
+    # exceeds that norm: it needs no SVD and gives no margin.
+    quiet = ADVANCE_ATOL / 2
+    v_base, v_sq = _base_velocities([segment], bases, n)
+    jumps = segment.v_post - segment.v_pre
+    for k, (c, v_b, v_b_sq, jump) in enumerate(zip(segment.cylinder_id.tolist(), v_base[0], v_sq[0].tolist(),
+                                                   jumps)):
         if len(basis) <= floor:
             # Every row lies in T: one advance per row and component.
             comp_of, spans = ranks.component_spans(visited)
@@ -191,18 +200,21 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
         w_b = images @ base_rows.T
         alpha = w_b @ v_b / v_b_sq
         decided = k + 1
-        u, s, _ = np.linalg.svd(w_b - alpha[:, None] * v_b)
-        # Absolute and scaled by max(1, |W_k|_2): a threshold relative to
-        # the largest residual would drop the velocity direction (see
-        # README). |W_k|_2^2 is the top eigenvalue of the p x p Gram
-        # matrix, a third of the cost of np.linalg.norm(images, 2).
-        threshold = ADVANCE_ATOL * math.sqrt(max(1.0, float(np.linalg.eigvalsh(images @ images.T)[-1])))
-        rank = _rank(s, threshold, kept, dropped)
-        if rank:
-            if rank == basis.shape[0]:
-                raise NotNeutralError(k, float(s[-1]))
-            keep = u[:, rank:].T
-            basis, images, advances, alpha = keep @ basis, keep @ images, keep @ advances, keep @ alpha
+        residual = w_b - alpha[:, None] * v_b
+        flat = residual.ravel()
+        if math.sqrt(flat @ flat) > quiet:
+            u, s, _ = np.linalg.svd(residual)
+            # Absolute and scaled by max(1, |W_k|_2): a threshold relative to
+            # the largest residual would drop the velocity direction (see
+            # README). |W_k|_2^2 is the top eigenvalue of the p x p Gram
+            # matrix, a third of the cost of np.linalg.norm(images, 2).
+            threshold = ADVANCE_ATOL * math.sqrt(max(1.0, float(np.linalg.eigvalsh(images @ images.T)[-1])))
+            rank = _rank(s, threshold, kept, dropped)
+            if rank:
+                if rank == basis.shape[0]:
+                    raise NotNeutralError(k, float(s[-1]))
+                keep = u[:, rank:].T
+                basis, images, advances, alpha = keep @ basis, keep @ images, keep @ advances, keep @ alpha
         advances[:, k] = alpha
         images = images + alpha[:, None] * jump
     return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
@@ -210,30 +222,15 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
                               smallest_dropped_sv=min(dropped, default=None))
 
 
-def _collisions(segment: OrbitSegment, bases, block: int):
-    """Per collision: the 0-based cylinder id, the base velocity from
-    ``_base_velocities``, its squared length and the velocity jump. Read a
-    block at a time, from ``block`` collisions doubling, so that a walk
-    that stops early reads few."""
-    start, n = 0, segment.n_events
-    while start < n:
-        stop = min(n, start + block)
-        v_base, v_sq = _base_velocities([segment], bases, stop, start)
-        yield from zip(segment.cylinder_id[start:stop].tolist(), v_base[0], v_sq[0].tolist(),
-                       segment.v_post[start:stop] - segment.v_pre[start:stop])
-        start, block = stop, 2 * block
-
-
-def _base_velocities(segments, bases, stop: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Per segment and event k in [start, stop), the base velocity B_k v_k
-    of the cylinder hit, padded to the largest base rank and to
-    ``stop - start`` events, and its squared length |B_k v_k|^2."""
-    v_base = np.zeros((len(segments), stop - start, max((len(b) for b in bases), default=0)))
+def _base_velocities(segments, bases, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment and event, the base velocity B_k v_k of the cylinder hit,
+    padded to the largest base rank and to ``n_max`` events, and its squared
+    length |B_k v_k|^2."""
+    v_base = np.zeros((len(segments), n_max, max((len(b) for b in bases), default=0)))
     for i, seg in enumerate(segments):
-        ids, v_pre = seg.cylinder_id[start:stop], seg.v_pre[start:stop]
-        for c in set(ids.tolist()):
-            at = (ids == c).nonzero()[0]
-            v_base[i, at, :len(bases[c])] = (bases[c] @ v_pre[at][:, :, None])[:, :, 0]
+        for c in set(seg.cylinder_id.tolist()):
+            at = (seg.cylinder_id == c).nonzero()[0]
+            v_base[i, at, :len(bases[c])] = (bases[c] @ seg.v_pre[at][:, :, None])[:, :, 0]
     return v_base, (v_base[:, :, None, :] @ v_base[:, :, :, None])[:, :, 0, 0]
 
 

@@ -206,7 +206,8 @@ def trivial_dim(segment):
 
 def reference_forward_walk(segment, rows, floor=0):
     """Decides every collision's rank. The margins and ``decided`` count the
-    collisions met while more than ``floor`` rows are left."""
+    collisions met while more than ``floor`` rows are left; a residual of
+    Frobenius norm at most ADVANCE_ATOL / 2 has rank 0 and gives no margin."""
     basis = images = rows
     advances = np.zeros((rows.shape[0], segment.n_events))
     kept, dropped = [], []
@@ -218,13 +219,16 @@ def reference_forward_walk(segment, rows, floor=0):
         w_b = images @ base_rows.T
         v_b = base_rows @ v_pre
         alpha = w_b @ v_b / float(v_b @ v_b)
-        u, s, _ = np.linalg.svd(w_b - np.outer(alpha, v_b))
+        residual = w_b - np.outer(alpha, v_b)
+        u, s, _ = np.linalg.svd(residual)
         threshold = ADVANCE_ATOL * math.sqrt(max(1.0, float(np.linalg.eigvalsh(images @ images.T)[-1])))
+        quiet = math.sqrt(residual.ravel() @ residual.ravel()) <= ADVANCE_ATOL / 2
         if basis.shape[0] > floor:
             decided = k + 1
-            rank = _rank(s, threshold, kept, dropped)
+            rank = _rank(s, threshold, [], []) if quiet else _rank(s, threshold, kept, dropped)
         else:
             rank = _rank(s, threshold, [], [])
+        assert not (quiet and rank)
         if rank:
             if rank == basis.shape[0]:
                 raise NotNeutralError(k, float(s[-1]))
