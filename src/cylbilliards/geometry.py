@@ -29,7 +29,7 @@ from .errors import (
     RadiusTooLarge,
     UnknownCylinderIndex,
 )
-from .lattice import ProjectedLattice, hermite_generating_rows
+from .lattice import ProjectedLattice, hermite_generating_rows, null_frame, projected_basis
 from .linalg import as_matrix, integer_nullspace, rational_rank, span_split
 
 # Tri-state validation flags.
@@ -75,7 +75,13 @@ class LatticeSubspace:
             rows.append(row)
         if rational_rank(rows) != len(rows):
             raise DependentBasis("integer basis vectors are dependent over Q")
-        return cls(ambient_dim, tuple(rows), *span_split(as_matrix(rows, ambient_dim), len(rows)))
+        return cls.from_independent_rows(rows, ambient_dim)
+
+    @classmethod
+    def from_independent_rows(cls, rows, ambient_dim: int) -> "LatticeSubspace":
+        """The subspace of integer rows known to be independent over Q."""
+        rows = tuple(tuple(row) for row in rows)
+        return cls(ambient_dim, rows, *span_split(as_matrix(rows, ambient_dim), len(rows)))
 
 
 def orthocomplement(basis, dim: int) -> np.ndarray:
@@ -141,15 +147,16 @@ def build_cylinder(integer_generator_basis, translation, radius: float, dim: int
         )
     if radius <= 0:
         raise ValueError("radius must be positive")
-    lattice = ProjectedLattice.from_generator(
-        [list(r) for r in generator.integer_basis], dim, generator.complement_basis
-    )
+    # One elimination: the generator's integer null space spans the base
+    # space and gives the projected lattice.
+    null = integer_nullspace([list(r) for r in generator.integer_basis] or [[0] * dim])
+    lattice = ProjectedLattice(*projected_basis(null, dim), generator.complement_basis)
     if Fraction(2 * radius) ** 2 >= lattice.shortest_sq:
         raise RadiusTooLarge(
             f"2r = {2 * radius} reaches shortest projected-lattice vector "
             f"{lattice.shortest_norm:.6g}"
         )
-    base = _base_subspace(generator)
+    base = LatticeSubspace.from_independent_rows(hermite_generating_rows(null), dim)
     translation = np.mod(np.asarray(translation, dtype=float), 1.0)
     if translation.shape != (dim,):
         raise DimensionMismatch("translation length does not match ambient dimension")
@@ -161,15 +168,6 @@ def build_cylinder(integer_generator_basis, translation, radius: float, dim: int
         radius=float(radius),
         lattice=lattice,
     )
-
-
-def _base_subspace(generator: LatticeSubspace) -> LatticeSubspace:
-    """The base space as a lattice subspace (integer basis from exact nullspace)."""
-    d = generator.ambient_dim
-    if not generator.integer_basis:
-        return LatticeSubspace.from_integer_basis(np.eye(d, dtype=int), d)
-    null = integer_nullspace([list(r) for r in generator.integer_basis])
-    return LatticeSubspace.from_integer_basis(hermite_generating_rows(null), d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,12 +407,15 @@ def validate_table(table: BilliardTable, disjoint_budget: int = DISJOINT_BUDGET)
             if disjoint == FAILS:
                 break
 
-    report = transitivity_report([c.base for c in cylinders])
+    # Transitive iff the graph of all base spaces is connected and they span
+    # R^d, as transitivity_report decides it for integer bases.
+    every = tuple(range(1, k + 1))
+    transitive = len(ranks.components(every)) == 1 and ranks.span_dim(every) == table.dim
     validated = replace(
         table,
         condition_1_3_disjoint=disjoint,
         condition_1_4_pairwise_base_intersection=cond_1_4,
-        transitive=report.transitive,
+        transitive=transitive,
         validated=True,
     )
     _BASE_RANKS[validated] = ranks
@@ -438,15 +439,20 @@ def _axis_gap(a: Cylinder, b: Cylinder, max_points: int | None = None) -> float:
     """Distance from the translation difference to its nearest translate in
     the lattice projected along both generator spaces; 0 when the generators
     together span R^d, so that the axis subtori differ by a dense set of
-    translates. Raises BudgetExceeded past ``max_points`` lattice points."""
+    translates. Raises BudgetExceeded past ``max_points`` lattice points.
+
+    The lattice and the integer null space depend only on the span of the
+    joint generator rows. When that span is one cylinder's own, the null
+    space has that cylinder's base dimension and the cylinder's reduced basis
+    is the pair's; only the float frame of the null space is built."""
     d = a.ambient_dim
-    gen_rows = hermite_generating_rows(
-        [list(r) for r in a.generator.integer_basis]
-        + [list(r) for r in b.generator.integer_basis]
-    )
-    if len(gen_rows) == d:
+    sub = integer_nullspace([list(r) for r in a.generator.integer_basis + b.generator.integer_basis]
+                            or [[0] * d])
+    if not sub:
         return 0.0
-    lat = ProjectedLattice.from_generator(gen_rows, d)
+    own = next((c.lattice for c in (a, b) if c.base_dim == len(sub)), None)
+    rows, scale = projected_basis(sub, d) if own is None else (own.integer_basis, own.scale)
+    lat = ProjectedLattice(rows, scale, null_frame(sub))
     return lat.nearest(b.translation - a.translation, max_points)[1]
 
 

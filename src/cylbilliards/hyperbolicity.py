@@ -239,28 +239,28 @@ def _neutral_dims(segments, d: int) -> list:
     or the NotNeutralError it raises, for every segment at once.
 
     At collision k the segments still running are grouped by (cylinder hit,
-    rows left): each group takes one stacked product, SVD and eigvalsh whose
-    every item is the call ``_forward_walk`` makes for that segment alone.
-    Each segment keeps only its images, cut and advanced as the lone walk
-    does, so each dimension is bitwise the lone walk's, and leaves the walk
-    once it has at most dim T rows, where the lone walk stops deciding.
+    rows left). Each group takes its base velocities, jumps and residuals in
+    stacked products whose every item is the product ``_forward_walk`` makes
+    for that segment alone (|B v|^2 over B v padded to the largest base
+    rank, as ``_base_velocities`` pads it), and one stacked SVD and eigvalsh
+    over its members that are not quiet. Each segment keeps only its
+    images, cut and advanced as the lone walk does, so each dimension is
+    bitwise the lone walk's, and leaves the walk once it has at most dim T
+    rows, where the lone walk stops deciding.
     """
     n_seg = len(segments)
     counts = [seg.n_events for seg in segments]
-    n_max = max(counts, default=0)
     cids = [seg.cylinder_id.tolist() for seg in segments]
     floors = [_trivial_dim(seg.table, ids) for seg, ids in zip(segments, cids)]
     bases = [c.base_basis for c in segments[0].table.cylinders] if n_seg else []
-    v_base, v_sq = _base_velocities(segments, bases, n_max)
-    # Every event's velocity jump, padded to the longest segment.
-    jumps = np.zeros((n_seg, n_max, d))
-    for i, (seg, n) in enumerate(zip(segments, counts)):
-        jumps[i, :n] = seg.v_post - seg.v_pre
+    width = max((len(b) for b in bases), default=0)
     images = [np.eye(d)] * n_seg
     failed: list = [None] * n_seg
-    active = [i for i in range(n_seg) if counts[i]]
-    for k in range(n_max):
+    active = list(range(n_seg))
+    for k in range(max(counts, default=0)):
         active = [i for i in active if counts[i] > k and failed[i] is None and len(images[i]) > floors[i]]
+        if not active:
+            break
         groups: dict = {}
         for i in active:
             groups.setdefault((cids[i][k], len(images[i])), []).append(i)
@@ -268,29 +268,44 @@ def _neutral_dims(segments, d: int) -> list:
             g = np.array(members)
             base_rows = bases[c]
             image = images[members[0]][None] if len(members) == 1 else np.stack([images[i] for i in members])
+            v = np.stack([segments[i].v_pre[k] for i in members])
+            jump = np.stack([segments[i].v_post[k] for i in members]) - v
+            v_b = (base_rows @ v[:, :, None])[:, :, 0]
+            padded = np.zeros((len(members), width))
+            padded[:, :len(base_rows)] = v_b
+            v_sq = (padded[:, None, :] @ padded[:, :, None])[:, 0, 0]
             w_b = image @ base_rows.T
-            v_b = v_base[g, k, :len(base_rows)]
-            alpha = (w_b @ v_b[:, :, None])[:, :, 0] / v_sq[g, k][:, None]
-            u, s, _ = np.linalg.svd(w_b - alpha[:, :, None] * v_b[:, None, :])
-            # Absolute and scaled by max(1, |W_k|_2): a threshold relative to
-            # the largest residual would drop the velocity direction (see
-            # README). |W_k|_2^2 is the top eigenvalue of the p x p Gram
-            # matrix, a third of the cost of np.linalg.norm(images, 2).
-            top = np.linalg.eigvalsh(image @ image.transpose(0, 2, 1))[:, -1]
-            threshold = ADVANCE_ATOL * np.sqrt(np.maximum(1.0, top))
-            rank = (s > threshold[:, None]).sum(axis=1)
+            alpha = (w_b @ v_b[:, :, None])[:, :, 0] / v_sq[:, None]
+            residual = w_b - alpha[:, :, None] * v_b[:, None, :]
+            # A quiet residual, of Frobenius norm at most ADVANCE_ATOL / 2, has
+            # rank 0 whatever its threshold and takes no SVD, as in
+            # _forward_walk; being half the smallest threshold, the bound
+            # does not depend on the summation order of the norm.
+            loud = (np.sqrt(np.einsum("ijk,ijk->i", residual, residual)) > ADVANCE_ATOL / 2).nonzero()[0]
+            rank = np.zeros(len(members), dtype=np.intp)
+            if loud.size:
+                u, s, _ = np.linalg.svd(residual[loud])
+                # Absolute and scaled by max(1, |W_k|_2): a threshold relative to
+                # the largest residual would drop the velocity direction (see
+                # README). |W_k|_2^2 is the top eigenvalue of the p x p Gram
+                # matrix, a third of the cost of np.linalg.norm(images, 2).
+                top = np.linalg.eigvalsh(image[loud] @ image[loud].transpose(0, 2, 1))[:, -1]
+                threshold = ADVANCE_ATOL * np.sqrt(np.maximum(1.0, top))
+                rank[loud] = (s > threshold[:, None]).sum(axis=1)
+                row_of = np.empty(len(members), dtype=np.intp)
+                row_of[loud] = np.arange(loud.size)
             values = set(rank.tolist())
             for r in values:
                 at = slice(None) if len(values) == 1 else (rank == r).nonzero()[0]
                 sub, image_r, alpha_r = g[at].tolist(), image[at], alpha[at]
                 if r == p:
-                    for i, smallest in zip(sub, s[at, -1].tolist()):
+                    for i, smallest in zip(sub, s[row_of[at], -1].tolist()):
                         failed[i] = NotNeutralError(k, smallest)
                     continue
                 if r:
-                    keep = u[at][:, :, r:].transpose(0, 2, 1)
+                    keep = u[row_of[at]][:, :, r:].transpose(0, 2, 1)
                     image_r, alpha_r = keep @ image_r, (keep @ alpha_r[:, :, None])[:, :, 0]
-                images_r = image_r + alpha_r[:, :, None] * jumps[sub, k][:, None, :]
+                images_r = image_r + alpha_r[:, :, None] * jump[at][:, None, :]
                 for i, image_i in zip(sub, images_r):
                     images[i] = image_i
     return [failed[i] or len(images[i]) for i in range(n_seg)]

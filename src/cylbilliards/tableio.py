@@ -94,7 +94,7 @@ def table_from_dict(doc: dict) -> BilliardTable:
         if not isinstance(generator, list):
             raise TableFormatError(f"{field}.generator", "must be a list of integer vectors")
         for row in generator:
-            if not isinstance(row, list) or any(not isinstance(x, int) for x in row):
+            if not isinstance(row, list) or any(not isinstance(x, int) or isinstance(x, bool) for x in row):
                 raise TableFormatError(
                     f"{field}.generator", "rows must be lists of integers"
                 )

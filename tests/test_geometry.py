@@ -22,9 +22,37 @@ from cylbilliards import (
     transitivity_report,
     validate_table,
 )
-from cylbilliards.geometry import FAILS, HOLDS, UNCHECKED
+from cylbilliards import lattice
+from cylbilliards.errors import BudgetExceeded
+from cylbilliards.flow import flight_table
+from cylbilliards.geometry import FAILS, HOLDS, UNCHECKED, _axis_gap
+from cylbilliards.lattice import ProjectedLattice, hermite_generating_rows
 
 from conftest import exhaustive_splitting_oracle
+
+TABLE_NAMES = ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4", "hs4x2", "wide5"]
+FLIGHT_ARRAYS = ("offsets", "mask", "cid", "start_offsets", "start_mask", "start_cid",
+                 "start_first", "tube_excess", "window_len", "basis", "basis_inv", "onb", "shift")
+
+# Cylinder pairs whose joint generator span is one cylinder's own, so that
+# the pair check reuses that cylinder's reduced basis: a sphere with a 3-D
+# cylinder, equal spans from different integer bases, and a 4-D generator
+# inside a 5-D one.
+OWN_SPAN_PAIRS = [
+    (3, [([], [0, 0, 0], 0.2), ([[0, 0, 1]], [0.5, 0.5, 0], 0.2)]),
+    (3, [([[2, 0, 0]], [0, 0, 0], 0.2), ([[1, 0, 0]], [0, 0.5, 0.5], 0.2)]),
+    (7, [([[1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0],
+           [0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0]], [0.1] * 7, 0.05),
+         ([[1, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0, 0],
+           [0, 0, 0, 0, 1, 0, 0]], [0.3, 0, 0.2, 0, 0, 0.45, 0.7], 0.05)]),
+]
+
+
+def joint_gap(a, b, budget=None):
+    """The pair distance from a lattice built afresh on the joint generator."""
+    rows = hermite_generating_rows([list(r) for r in a.generator.integer_basis + b.generator.integer_basis])
+    lat = ProjectedLattice.from_generator(rows, a.ambient_dim)
+    return lat.nearest(b.translation - a.translation, budget)[1]
 
 
 def span_projector(rows):
@@ -121,6 +149,28 @@ class TestBuildCylinder:
         with pytest.raises(RadiusTooLarge):
             build_cylinder([], [0, 0], 0.5, 2)
         build_cylinder([], [0, 0], 0.499, 2)  # strictly below the bound is fine
+
+    @pytest.mark.parametrize("name", TABLE_NAMES)
+    def test_enumeration_path_changes_no_bit(self, name, request, monkeypatch):
+        table = request.getfixturevalue(name)
+        ft = flight_table(table)
+        monkeypatch.setattr(lattice, "DEPTH_FIRST_NODES", 0)
+        rebuilt = validate_table(build_table([
+            build_cylinder([list(r) for r in c.generator.integer_basis], c.translation, c.radius, table.dim)
+            for c in table.cylinders]))
+        for c, r in zip(table.cylinders, rebuilt.cylinders):
+            assert r.lattice.basis_rational == c.lattice.basis_rational
+            assert r.lattice.shortest_sq == c.lattice.shortest_sq
+            assert r.lattice.babai_bound == c.lattice.babai_bound
+            assert r.lattice.subspace_onb.tobytes() == c.lattice.subspace_onb.tobytes()
+            assert r.base.integer_basis == c.base.integer_basis
+            assert r.base.ortho_basis.tobytes() == c.base.ortho_basis.tobytes()
+        assert (rebuilt.condition_1_3_disjoint, rebuilt.condition_1_4_pairwise_base_intersection,
+                rebuilt.transitive) == (table.condition_1_3_disjoint,
+                                        table.condition_1_4_pairwise_base_intersection, table.transitive)
+        ft_bf = flight_table(rebuilt)
+        for field in FLIGHT_ARRAYS:
+            assert getattr(ft_bf, field).tobytes() == getattr(ft, field).tobytes(), field
 
     def test_base_complement_consistency(self):
         cyl = build_cylinder([[1, 2, 0, 0], [0, 0, 1, 0]], [0.1, 0.2, 0.3, 0.4], 0.05, 4)
@@ -289,6 +339,28 @@ class TestValidateTable:
 
     def test_axis_distance_value(self, ortho3):
         assert axis_distance(*ortho3.cylinders) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("dim,cyls", OWN_SPAN_PAIRS)
+    def test_pair_on_own_basis_equals_joint_lattice(self, dim, cyls):
+        a, b = (build_cylinder(g, t, r, dim) for g, t, r in cyls)
+        joint = hermite_generating_rows([list(r) for r in a.generator.integer_basis + b.generator.integer_basis])
+        assert len(joint) in (a.generator.dim, b.generator.dim)
+        for x, y in ((a, b), (b, a)):
+            assert _axis_gap(x, y) == joint_gap(x, y)
+            for budget in (0, 1, 2, 5):
+                try:
+                    want = joint_gap(x, y, budget)
+                except BudgetExceeded:
+                    with pytest.raises(BudgetExceeded):
+                        _axis_gap(x, y, budget)
+                else:
+                    assert _axis_gap(x, y, budget) == want
+
+    def test_wide5_sphere_pairs_on_own_basis(self, wide5):
+        sphere = wide5.cylinders[0]
+        for other in wide5.cylinders[1:]:
+            assert _axis_gap(sphere, other) == joint_gap(sphere, other)
+            assert _axis_gap(other, sphere) == joint_gap(other, sphere)
 
     def test_budget_zero_reports_unchecked(self, ortho3):
         fresh = validate_table(build_table(ortho3.cylinders), disjoint_budget=0)

@@ -350,7 +350,8 @@ class TestForwardWalk:
         assert res.largest_kept_sv < 1e-3
         assert res.smallest_dropped_sv > 1e3
 
-    @pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4", "hs4x2"])
+    @pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4", "hs4x2",
+                                      "wide5"])
     def test_grouped_walk_equals_lone_walk(self, request, monkeypatch, name):
         table = request.getfixturevalue(name)
         rng = np.random.default_rng(17)

@@ -93,6 +93,14 @@ class TestTableFiles:
         with pytest.raises(TableFormatError):
             table_from_dict(doc)
 
+    def test_boolean_generator_named(self):
+        doc = {"dimension": 3,
+               "cylinders": [{"generator": [[True, False, False]], "translation": [0.0, 0.0, 0.0],
+                               "radius": 0.1}]}
+        with pytest.raises(TableFormatError) as err:
+            table_from_dict(doc)
+        assert err.value.field == "cylinders[0].generator"
+
 
 class TestScenario:
     def test_inline_and_file_reference_hash_identically(self, tmp_path):
@@ -297,6 +305,13 @@ class TestCli:
         doc = json.loads((tmp_path / "analyze.json").read_text())
         assert doc["transitive"] is False
         assert doc["splitting_witness"] is not None
+
+    def test_boolean_generator_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"table": {"dimension": 3, "cylinders": [
+            {"generator": [[True, False, False]], "translation": [0.0, 0.0, 0.0], "radius": 0.2}]}}))
+        assert main(["analyze", "--scenario", str(path), "--out", str(tmp_path)]) == 3
+        assert json.loads(capsys.readouterr().err)["field"] == "cylinders[0].generator"
 
     def test_malformed_table_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -11,13 +11,26 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cylbilliards import lattice
 from cylbilliards.errors import BudgetExceeded
-from cylbilliards.lattice import (
-    ProjectedLattice,
-    hermite_generating_rows,
-    lll_reduce,
-    shortest_vector_sq,
-)
+from cylbilliards.lattice import ProjectedLattice, hermite_generating_rows, lll_reduce
+from cylbilliards.linalg import span_split
+
+# Values of lattice.DEPTH_FIRST_NODES that force each enumeration path.
+BREADTH_FIRST, DEPTH_FIRST = 0, math.inf
+
+
+def scaled_rows(basis):
+    """Rational rows as integer rows over the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for row in basis for x in row))
+    return [[int(x * den) for x in row] for row in basis], den
+
+
+def lattice_of(basis):
+    """The lattice spanned by independent rational rows, in an orthonormal
+    frame of their span."""
+    return ProjectedLattice(*scaled_rows(basis),
+                            span_split(np.array(basis, dtype=float), len(basis))[0])
 
 
 def brute_projected_points(generator_rows, d, reach=4):
@@ -135,7 +148,8 @@ def test_hermite_rows_preserve_lattice():
 
 def test_lll_preserves_lattice_and_shortens():
     basis = [[Fraction(1), Fraction(0)], [Fraction(7, 2), Fraction(1, 2)]]
-    reduced = lll_reduce(basis)
+    rows, den = scaled_rows(basis)
+    reduced = [[Fraction(x, den) for x in row] for row in lll_reduce(rows)]
     orig = np.array([[float(x) for x in row] for row in basis])
     red = np.array([[float(x) for x in row] for row in reduced])
     coeff = np.linalg.solve(orig.T, red.T)
@@ -146,7 +160,7 @@ def test_lll_preserves_lattice_and_shortens():
 
 def test_shortest_vector_exact_small_case():
     basis = [[Fraction(1), Fraction(0)], [Fraction(7, 2), Fraction(1, 2)]]
-    vec, norm_sq = shortest_vector_sq(basis)
+    norm_sq = lattice_of(basis).shortest_sq
     # Brute force over integer combinations.
     best = None
     for a in range(-20, 21):
@@ -231,7 +245,7 @@ class TestAgainstCoefficientBox:
         if isinstance(lat_or_basis, ProjectedLattice):
             basis_rational, got = lat_or_basis.basis_rational, lat_or_basis.shortest_sq
         else:
-            basis_rational, got = lat_or_basis, shortest_vector_sq(lat_or_basis)[1]
+            basis_rational, got = lat_or_basis, lattice_of(lat_or_basis).shortest_sq
         assert got == box_shortest_sq(basis_rational)
 
     @settings(max_examples=60, deadline=None)
@@ -249,12 +263,17 @@ class TestAgainstCoefficientBox:
         got = lat.points_in_ball(center, radius)
         assert np.array_equal(np.unique(np.round(got, 9), axis=0), np.unique(np.round(want, 9), axis=0))
         assert got.shape == want.shape
-        for budget in (0, 1, 2):
-            if len(want) > budget:
-                with pytest.raises(BudgetExceeded):
-                    lat.points_in_ball(center, radius, max_points=budget)
-            else:
-                assert lat.points_in_ball(center, radius, max_points=budget).shape == want.shape
+        # Each enumeration path raises exactly when the ball holds more
+        # points than the budget.
+        for nodes in (BREADTH_FIRST, DEPTH_FIRST):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lattice, "DEPTH_FIRST_NODES", nodes)
+                for budget in sorted({0, 1, 2, max(len(want) - 1, 0), len(want)}):
+                    if len(want) > budget:
+                        with pytest.raises(BudgetExceeded):
+                            lat.points_in_ball(center, radius, max_points=budget)
+                    else:
+                        assert np.array_equal(lat.points_in_ball(center, radius, max_points=budget), got)
 
 
 def reference_lll(basis, delta=Fraction(3, 4)):
@@ -319,11 +338,32 @@ class TestAgainstReferenceLoops:
     @settings(max_examples=80, deadline=None)
     @given(rational_bases(max_rank=5))
     def test_integral_lll_reproduces_fraction_lll(self, basis):
-        assert lll_reduce(basis) == reference_lll(basis)
+        rows, den = scaled_rows(basis)
+        assert [[Fraction(x, den) for x in row] for row in lll_reduce(rows)] == reference_lll(basis)
 
     @settings(max_examples=60, deadline=None)
     @given(generator_lattices(), st.data())
     def test_breadth_first_enumeration_reproduces_depth_first(self, lat, data):
+        # Radii up to 4 put the node bound on both sides of the crossover
+        # for every rank; the chosen path and each forced one are compared
+        # bitwise.
         y = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=lat.rank, max_size=lat.rank)))
-        radius = data.draw(st.floats(0.0, 2.5))
-        assert np.array_equal(lat._enumerate(y, radius), reference_enumeration(lat, y, radius))
+        radius = data.draw(st.floats(0.0, 4.0))
+        want = reference_enumeration(lat, y, radius)
+        for nodes in (lattice.DEPTH_FIRST_NODES, BREADTH_FIRST, DEPTH_FIRST):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lattice, "DEPTH_FIRST_NODES", nodes)
+                got = lat._enumerate(y, radius)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale,path", [(0.9, "_depth_first"), (1.1, "_breadth_first")])
+    def test_node_bound_selects_the_path(self, scale, path, monkeypatch):
+        # On Z^3 the node bound is (2 r + 1)^3 against DEPTH_FIRST_NODES * 2^3.
+        lat = ProjectedLattice.from_generator([], 3)
+        radius = scale * ((8 * lattice.DEPTH_FIRST_NODES) ** (1 / 3) - 1) / 2
+        calls = []
+        original = getattr(lattice, path)
+        monkeypatch.setattr(lattice, path, lambda *args: calls.append(path) or original(*args))
+        got = lat._enumerate(np.full(3, 0.3), radius)
+        assert calls == [path]
+        assert got.tobytes() == reference_enumeration(lat, np.full(3, 0.3), radius).tobytes()
