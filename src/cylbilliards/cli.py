@@ -130,8 +130,8 @@ def cmd_analyze(scenario: Scenario, args) -> int:
     table = scenario.table
     report = transitivity_report([c.base for c in table.cylinders])
     doc = transitivity_to_dict(table, report, {"scenario_hash": scenario.scenario_hash})
-    print(json.dumps(doc, indent=2, sort_keys=True))
     write_json(doc, _out_path(args, scenario, "analyze.json"))
+    print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -186,8 +186,8 @@ def cmd_sufficiency(scenario: Scenario, args) -> int:
         "n_collisions": segment.n_events,
         "symbolic": list(segment.symbolic),
     }
-    print(json.dumps({k: doc[k] for k in ("sufficient", "neutral_dim", "n_collisions")}))
     write_json(doc, _out_path(args, scenario, "sufficiency.json"))
+    print(json.dumps({k: doc[k] for k in ("sufficient", "neutral_dim", "n_collisions")}))
     return EXIT_OK
 
 
@@ -211,8 +211,8 @@ def cmd_lyapunov(scenario: Scenario, args) -> int:
                        _out_path(args, scenario, "lyapunov_partial.json"))
         return _diag(EXIT_SINGULARITY, str(exc))
     doc = lyapunov_to_dict(report, meta)
-    print(json.dumps({"top_exponent": report.top, "n_events": report.n_events}))
     write_json(doc, _out_path(args, scenario, "lyapunov.json"))
+    print(json.dumps({"top_exponent": report.top, "n_events": report.n_events}))
     return EXIT_OK
 
 
@@ -234,9 +234,9 @@ def cmd_survey(scenario: Scenario, args) -> int:
     write_survey_csv(result, _out_path(args, scenario, "survey.csv"), meta)
     summary = {"tool_version": TOOL_VERSION, "scenario_hash": scenario.scenario_hash,
                **result.summary}
+    write_json(summary, _out_path(args, scenario, "survey_summary.json"))
     print(json.dumps({k: summary.get(k) for k in
                       ("n_samples", "fraction_sufficient_full_span", "fraction_singular")}))
-    write_json(summary, _out_path(args, scenario, "survey_summary.json"))
     return EXIT_OK
 
 

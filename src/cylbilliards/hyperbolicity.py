@@ -174,31 +174,23 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
     kept, dropped = [], []
     bases = [c.base_basis for c in segment.table.cylinders]
     ranks = base_ranks(segment.table)
-    visited = _visited(segment.cylinder_id.tolist())
+    cids = segment.cylinder_id.tolist()
+    visited = _visited(cids)
     floor = ranks.trivial_neutral_dim(visited) if len(rows) == segment.table.dim else 0
     decided = 0
     # A residual of Frobenius norm at most half the smallest threshold,
     # ADVANCE_ATOL, has rank 0 whatever its threshold, as no singular value
     # exceeds that norm: it needs no SVD and gives no margin.
     quiet = ADVANCE_ATOL / 2
-    v_base, v_sq = _base_velocities([segment], bases, n)
-    jumps = segment.v_post - segment.v_pre
-    for k, (c, v_b, v_b_sq, jump) in enumerate(zip(segment.cylinder_id.tolist(), v_base[0], v_sq[0].tolist(),
-                                                   jumps)):
+    v_pre = segment.v_pre
+    jumps = segment.v_post - v_pre
+    for k, c in enumerate(cids):
         if len(basis) <= floor:
-            # Every row lies in T: one advance per row and component.
-            comp_of, spans = ranks.component_spans(visited)
-            v0 = segment.v_pre[0]
-            coeff = np.empty((len(basis), len(spans)))
-            for j, span in enumerate(spans):
-                x = span @ v0
-                coeff[:, j] = basis @ span.T @ x / (x @ x)
-            advances[:, k:] = coeff[:, comp_of[segment.cylinder_id[k:]]]
             break
         base_rows = bases[c]
-        v_b = v_b[:len(base_rows)]
+        v_b = base_rows @ v_pre[k]
         w_b = images @ base_rows.T
-        alpha = w_b @ v_b / v_b_sq
+        alpha = w_b @ v_b / float(v_b @ v_b)
         decided = k + 1
         residual = w_b - alpha[:, None] * v_b
         flat = residual.ravel()
@@ -216,22 +208,19 @@ def _forward_walk(segment: OrbitSegment, rows: np.ndarray) -> NeutralSpaceResult
                 keep = u[:, rank:].T
                 basis, images, advances, alpha = keep @ basis, keep @ images, keep @ advances, keep @ alpha
         advances[:, k] = alpha
-        images = images + alpha[:, None] * jump
+        images = images + alpha[:, None] * jumps[k]
+    if decided < n:
+        # Every row lies in T: one advance per row and component.
+        comp_of, spans = ranks.component_spans(visited)
+        v0 = v_pre[0]
+        coeff = np.empty((len(basis), len(spans)))
+        for j, span in enumerate(spans):
+            x = span @ v0
+            coeff[:, j] = basis @ span.T @ x / (x @ x)
+        advances[:, decided:] = coeff[:, comp_of[segment.cylinder_id[decided:]]]
     return NeutralSpaceResult(basis=basis, dim=basis.shape[0], advances=tuple(map(tuple, advances.tolist())),
                               method=ADVANCE_SYSTEM, decided=decided, largest_kept_sv=max(kept, default=0.0),
                               smallest_dropped_sv=min(dropped, default=None))
-
-
-def _base_velocities(segments, bases, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per segment and event, the base velocity B_k v_k of the cylinder hit,
-    padded to the largest base rank and to ``n_max`` events, and its squared
-    length |B_k v_k|^2."""
-    v_base = np.zeros((len(segments), n_max, max((len(b) for b in bases), default=0)))
-    for i, seg in enumerate(segments):
-        for c in set(seg.cylinder_id.tolist()):
-            at = (seg.cylinder_id == c).nonzero()[0]
-            v_base[i, at, :len(bases[c])] = (bases[c] @ seg.v_pre[at][:, :, None])[:, :, 0]
-    return v_base, (v_base[:, :, None, :] @ v_base[:, :, :, None])[:, :, 0, 0]
 
 
 def _neutral_dims(segments, d: int) -> list:
@@ -241,19 +230,17 @@ def _neutral_dims(segments, d: int) -> list:
     At collision k the segments still running are grouped by (cylinder hit,
     rows left). Each group takes its base velocities, jumps and residuals in
     stacked products whose every item is the product ``_forward_walk`` makes
-    for that segment alone (|B v|^2 over B v padded to the largest base
-    rank, as ``_base_velocities`` pads it), and one stacked SVD and eigvalsh
-    over its members that are not quiet. Each segment keeps only its
-    images, cut and advanced as the lone walk does, so each dimension is
-    bitwise the lone walk's, and leaves the walk once it has at most dim T
-    rows, where the lone walk stops deciding.
+    for that segment alone, and one stacked SVD and eigvalsh over its
+    members that are not quiet. Each segment keeps only its images, cut and
+    advanced as the lone walk does, so each dimension is bitwise the lone
+    walk's, and leaves the walk once it has at most dim T rows, where the
+    lone walk stops deciding.
     """
     n_seg = len(segments)
     counts = [seg.n_events for seg in segments]
     cids = [seg.cylinder_id.tolist() for seg in segments]
     floors = [_trivial_dim(seg.table, ids) for seg, ids in zip(segments, cids)]
     bases = [c.base_basis for c in segments[0].table.cylinders] if n_seg else []
-    width = max((len(b) for b in bases), default=0)
     images = [np.eye(d)] * n_seg
     failed: list = [None] * n_seg
     active = list(range(n_seg))
@@ -271,9 +258,7 @@ def _neutral_dims(segments, d: int) -> list:
             v = np.stack([segments[i].v_pre[k] for i in members])
             jump = np.stack([segments[i].v_post[k] for i in members]) - v
             v_b = (base_rows @ v[:, :, None])[:, :, 0]
-            padded = np.zeros((len(members), width))
-            padded[:, :len(base_rows)] = v_b
-            v_sq = (padded[:, None, :] @ padded[:, :, None])[:, 0, 0]
+            v_sq = (v_b[:, None, :] @ v_b[:, :, None])[:, 0, 0]
             w_b = image @ base_rows.T
             alpha = (w_b @ v_b[:, :, None])[:, :, 0] / v_sq[:, None]
             residual = w_b - alpha[:, :, None] * v_b[:, None, :]

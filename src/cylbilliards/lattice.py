@@ -300,11 +300,6 @@ class ProjectedLattice:
         return _rounding_radius(self.basis)
 
     @cached_property
-    def basis_rational(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The basis rows as fractions."""
-        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.integer_basis)
-
-    @cached_property
     def shortest_sq(self) -> Fraction:
         """Exact squared length of the shortest nonzero lattice vector,
         computed on first use.

@@ -159,7 +159,7 @@ class TestBuildCylinder:
             build_cylinder([list(r) for r in c.generator.integer_basis], c.translation, c.radius, table.dim)
             for c in table.cylinders]))
         for c, r in zip(table.cylinders, rebuilt.cylinders):
-            assert r.lattice.basis_rational == c.lattice.basis_rational
+            assert (r.lattice.integer_basis, r.lattice.scale) == (c.lattice.integer_basis, c.lattice.scale)
             assert r.lattice.shortest_sq == c.lattice.shortest_sq
             assert r.lattice.babai_bound == c.lattice.babai_bound
             assert r.lattice.subspace_onb.tobytes() == c.lattice.subspace_onb.tobytes()

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -528,3 +530,27 @@ class TestCli:
         assert doc["decided_collisions"] == 0
         assert doc["largest_kept_sv"] == 0.0
         assert doc["smallest_dropped_sv"] is None
+
+    @pytest.mark.parametrize("command, extra, files", [
+        ("analyze", {}, ["analyze.json"]),
+        ("sufficiency", {"duration": 10.0, "start": {"q": [0.25, 0.25, 0.25], "v": [0.6, 0.64, 0.48]}},
+         ["sufficiency.json"]),
+        ("lyapunov", {"seed": 5, "duration": 20.0}, ["lyapunov.json"]),
+        ("survey", {"samples": 4, "duration": 5.0, "seed": 7}, ["survey.csv", "survey_summary.json"]),
+    ])
+    def test_files_written_before_a_closed_stdout(self, tmp_path, monkeypatch, command, extra, files):
+        # As under `cylbilliards <command> ... | true`: the reader is gone
+        # before the summary is printed, and every file must be there.
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        scen = _write_scenario(tmp_path, f"{command}.json", extra)
+        out = tmp_path / "out"
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with contextlib.suppress(BrokenPipeError):
+            main([command, "--scenario", scen, "--out", str(out)])
+        assert all((out / name).stat().st_size > 0 for name in files)

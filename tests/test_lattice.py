@@ -243,7 +243,8 @@ class TestAgainstCoefficientBox:
     @given(st.one_of(generator_lattices(), rational_bases()))
     def test_shortest_sq(self, lat_or_basis):
         if isinstance(lat_or_basis, ProjectedLattice):
-            basis_rational, got = lat_or_basis.basis_rational, lat_or_basis.shortest_sq
+            basis_rational = [[Fraction(x, lat_or_basis.scale) for x in row] for row in lat_or_basis.integer_basis]
+            got = lat_or_basis.shortest_sq
         else:
             basis_rational, got = lat_or_basis, lattice_of(lat_or_basis).shortest_sq
         assert got == box_shortest_sq(basis_rational)
