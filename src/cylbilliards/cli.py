@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -259,7 +260,21 @@ def main(argv=None) -> int:
     except (*_VALIDATION_ERRORS, ValueError) as exc:
         return _diag(EXIT_VALIDATION, str(exc))
     try:
-        return _COMMANDS[args.command](scenario, args)
+        code = _COMMANDS[args.command](scenario, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout left before the summary, which each command
+        # prints after its files: the run is complete. Stdout's descriptor
+        # goes to devnull, so that the interpreter's final flush cannot raise.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return EXIT_OK
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_OK
     except TableFormatError as exc:
         return _diag(EXIT_INPUT, str(exc), field=exc.field)
     except CylBilliardsError as exc:

@@ -23,9 +23,10 @@ the plain loop, whose per-call cost is lower.
 
 A segment stores its events as columns. Both flight loops stop a run at a
 tangential or double hit, at the event budget or at the end of the duration,
-and return only their per-hit arrays and each trajectory's hit count. Times,
-lattice offsets, the flag, the end state, the tail and the covering-space
-endpoint are then worked out once per batch from the columns.
+and return only their per-hit arrays and each trajectory's hit count; the
+plain loop writes each hit into them as it goes, in room that doubles when
+full. Times, lattice offsets, the flag, the end state, the tail and the
+covering-space endpoint are then worked out once per batch from the columns.
 """
 
 from __future__ import annotations
@@ -355,26 +356,10 @@ def _first_collision(q0: np.ndarray, v: np.ndarray, ft: _FlightTable, t_max: flo
     return None
 
 
-def _hit(raw, v: np.ndarray) -> tuple:
-    """The per-hit step of a raw hit of velocity v, with what the next
-    flight needs: (flight, cylinder id, hit point reduced to [0,1)^d, its
-    integer shift, stacked lattice point, normal, cos_phi, v_post,
-    near_double)."""
-    s_rel, ft, k, rel, uc, lam, q_window, base, near_double = raw
-    blk = ft.blocks[k]
-    q_hit = q_window + s_rel * v
-    radial = (rel[blk] + s_rel * uc[blk]) @ ft.onb[blk]
-    normal = radial / math.sqrt(radial @ radial)
-    vn = float(v @ normal)
-    shift = np.floor(q_hit)
-    return base + s_rel, k, q_hit - shift, shift, lam, normal, -vn, v - 2.0 * vn * normal, near_double
-
-
 def _finish(ft: _FlightTable, hits: dict) -> dict:
     """The columns of the hits of any number of segments, from the per-hit
-    arrays of a flight loop (flight, cylinder_id, q_hit, shift, lam, normal,
-    cos_phi, v_post, near_double, v_pre): the geometry the loop does not
-    need, finished once."""
+    arrays (``_HITS``) of a flight loop: the geometry the loop does not need,
+    finished once."""
     cid, lam, shift = hits["cylinder_id"], hits["lam"], hits["shift"]
     lattice_offset = np.empty_like(shift)
     for k in set(cid.tolist()):
@@ -391,21 +376,17 @@ def _finish(ft: _FlightTable, hits: dict) -> dict:
     return cols
 
 
-# The per-hit arrays both flight loops return, in ``_hit`` order, then the
-# incoming velocity.
+# The per-hit arrays both flight loops return.
 _HITS = ("flight", "cylinder_id", "q_hit", "shift", "lam", "normal", "cos_phi", "v_post", "near_double",
          "v_pre")
 
 
-def _hit_arrays(hits: list, d: int, size: int) -> dict:
-    """Per-hit tuples (as from ``_hit``, then v_pre) as arrays of one
-    trajectory."""
-    n = len(hits)
-    cols = zip(*hits) if n else [()] * len(_HITS)
+def _hit_columns(n: int, d: int, size: int) -> dict:
+    """Empty per-hit columns (``_HITS``) with room for n hits of a table of
+    dimension d and stacked base dimension size."""
     kinds = (float, int, float, float, float, float, float, float, bool, float)
     widths = (0, 0, d, d, size, d, 0, d, 0, d)
-    return {name: np.array(c, dtype=kind).reshape((n, w) if w else n)
-            for name, c, kind, w in zip(_HITS, cols, kinds, widths)}
+    return {name: np.empty((n, w) if w else n, dtype=kind) for name, kind, w in zip(_HITS, kinds, widths)}
 
 
 def next_collision(x: PhasePoint, table: BilliardTable, t_max: float) -> CollisionEvent | None:
@@ -565,8 +546,10 @@ def evolve_batch(starts, table: BilliardTable, duration: float,
 
 def _lockstep_parts(table: BilliardTable, count: int) -> list[slice]:
     """``count`` trajectories of this table cut into equal lockstep batches
-    of at most LOCKSTEP_ENTRIES ball entries each."""
-    parts = math.ceil(count * flight_table(table).offsets.size / LOCKSTEP_ENTRIES)
+    of at most LOCKSTEP_ENTRIES ball entries each, or of one trajectory
+    where its ball alone holds more."""
+    cap = max(1, LOCKSTEP_ENTRIES // flight_table(table).offsets.size)
+    parts = math.ceil(count / cap)
     size = math.ceil(count / parts) if parts else 0
     return [slice(i, i + size) for i in range(0, count, size)] if size else []
 
@@ -575,22 +558,38 @@ def _trajectory(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float,
     """``_lockstep`` for one trajectory (q, v) (1, d), as a plain flight
     loop: alone, a trajectory's array bookkeeping in the lockstep costs more
     than its flights. Same arithmetic, same stops, same returns: the per-hit
-    arrays and the hit count."""
+    arrays, written hit by hit into rows whose room doubles when full, and
+    the hit count."""
     q, v = q[0], v[0]
-    elapsed = 0.0
-    hits = []
-    while elapsed < duration and len(hits) < max_events:
+    d, size = len(q), len(ft.onb)
+    cols = _hit_columns(0, d, size)
+    elapsed, n = 0.0, 0
+    while elapsed < duration and n < max_events:
         raw = _first_collision(q, v, ft, duration - elapsed)
         if raw is None:
             break
-        hit = _hit(raw, v)
-        flight, _, q, _, _, _, cos_phi, v_post, near_double = hit
-        hits.append(hit + (v,))
+        if n == len(cols["flight"]):
+            grown = _hit_columns(min(max(2 * n, 16), max_events), d, size)
+            for name, col in cols.items():
+                grown[name][:n] = col
+            cols = grown
+            flights, cids, q_hits, shifts, lams, normals, cos_phis, v_posts, near_doubles, v_pres = cols.values()
+        s_rel, _, k, rel, uc, lam, q_window, base, near_double = raw
+        blk = ft.blocks[k]
+        q_hit = q_window + s_rel * v
+        radial = (rel[blk] + s_rel * uc[blk]) @ ft.onb[blk]
+        normal = radial / math.sqrt(radial @ radial)
+        vn = float(v @ normal)
+        shift = np.floor(q_hit)
+        flight, q, cos_phi, v_post = base + s_rel, q_hit - shift, -vn, v - 2.0 * vn * normal
+        flights[n], cids[n], q_hits[n], shifts[n], lams[n] = flight, k, q, shift, lam
+        normals[n], cos_phis[n], v_posts[n], near_doubles[n], v_pres[n] = normal, cos_phi, v_post, near_double, v
+        n += 1
         if cos_phi < EPS_TANG or near_double:
             break
         elapsed += flight
         v = v_post
-    return _hit_arrays(hits, len(q), len(ft.onb)), [len(hits)]
+    return {name: col[:n] for name, col in cols.items()}, [n]
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +749,7 @@ def _lockstep(ft: _FlightTable, q: np.ndarray, v: np.ndarray, duration: float, m
                 leave |= ~got & (st["base"] >= left - 1e-15)
 
     if not hits:
-        return _hit_arrays([], d, len(ft.onb)), counts.tolist()
+        return _hit_columns(0, d, len(ft.onb)), counts.tolist()
     *columns, ids = (np.concatenate(c) for c in zip(*hits))
     hits.clear()
     order = np.argsort(ids, kind="stable")

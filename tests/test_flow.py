@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from cylbilliards import (
     reflect,
     validate_table,
 )
-from cylbilliards.flow import flight_table
+from cylbilliards.flow import _COLUMNS, flight_table
 
 from conftest import clean, tori_distance
 
@@ -554,7 +555,7 @@ class TestColumns:
     def test_events_equal_per_event_construction(self, request, name):
         table = _skew4_table() if name == "skew4" else request.getfixturevalue(name)
         rng = np.random.default_rng(70)
-        for duration, budget in ((1e9, 150), (15.0, 10**6), (1e9, 1), (1e-3, 10**6)):
+        for duration, budget in ((1e9, 150), (15.0, 10**6), (1e9, 1), (1e-3, 10**6), (1e9, 16), (1e9, 17)):
             x = random_phase_point(table, rng)
             seg = evolve(x, table, duration, max_events=budget)
             events, flag, elapsed, tail, q, v, unwrapped = reference_evolve(x, table, duration, budget)
@@ -571,6 +572,20 @@ class TestColumns:
             assert not seg.q_hit.flags.writeable
             if seg.n_events:
                 assert np.shares_memory(seg.events[-1].v_post, seg.v_post)
+
+    @pytest.mark.parametrize("name", ["sinai2", "ortho3"])
+    def test_long_run_holds_little_more_than_its_columns(self, request, name):
+        table = request.getfixturevalue(name)
+        x = random_phase_point(table, np.random.default_rng(72))
+        evolve(x, table, 1e9, max_events=20)
+        tracemalloc.start()
+        try:
+            seg = evolve(x, table, 1e9, max_events=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seg.n_events == 2000
+        assert peak <= 3 * sum(getattr(seg, col).nbytes for col in _COLUMNS)
 
     @pytest.mark.parametrize("case", ["tangential", "double", "zero"])
     def test_flagged_and_empty_segments(self, dense3, case):
@@ -690,6 +705,23 @@ class TestBatch:
         monkeypatch.setattr(flow, "LOCKSTEP_ENTRIES", 2 * flight_table(ortho3).offsets.size)
         for got, want in zip(evolve_batch(starts, ortho3, 20.0), whole):
             assert_same_segment(got, want)
+
+    @pytest.mark.parametrize("name", ["sinai2", "ortho3", "skew3", "parallel3", "dense3", "split4", "hs4x2",
+                                      "wide5"])
+    def test_parts_hold_at_most_the_ball_budget(self, request, name):
+        from cylbilliards.flow import LOCKSTEP_ENTRIES, _lockstep_parts
+
+        table = request.getfixturevalue(name)
+        entries = flight_table(table).offsets.size
+        # wide5's ball alone holds more than the budget, so it runs lone at
+        # any count; a count of n makes n parts, so counts to 5 000 would
+        # build 12.5 million slices.
+        for count in range(1, 501 if name == "wide5" else 5001):
+            parts = [range(count)[part] for part in _lockstep_parts(table, count)]
+            # The parts cut the trajectories in order, none of them empty.
+            assert [p.start for p in parts] + [count] == [0] + [p.stop for p in parts]
+            assert min(map(len, parts)) >= 1
+            assert max(map(len, parts)) * entries <= max(LOCKSTEP_ENTRIES, entries), (count, list(map(len, parts)))
 
     def test_start_inside_leaves_the_others_alone(self, sinai2):
         inside = phase_point([0.05, 0.0], [1.0, 0.0])

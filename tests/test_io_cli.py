@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cylbilliards
 from cylbilliards import (
     TableFormatError,
     __version__,
@@ -274,6 +277,17 @@ def test_survey_csv_content(tmp_path):
         "2,7,5,1,2,false,false,,,budget_exceeded\r\n").encode()
 
 
+# Commands that print a summary after writing their files, with the scenario
+# entries and the files each writes.
+CLOSED_STDOUT_CASES = [
+    ("analyze", {}, ["analyze.json"]),
+    ("sufficiency", {"duration": 10.0, "start": {"q": [0.25, 0.25, 0.25], "v": [0.6, 0.64, 0.48]}},
+     ["sufficiency.json"]),
+    ("lyapunov", {"seed": 5, "duration": 20.0}, ["lyapunov.json"]),
+    ("survey", {"samples": 4, "duration": 5.0, "seed": 7}, ["survey.csv", "survey_summary.json"]),
+]
+
+
 def _write_scenario(tmp_path, name, extra):
     path = tmp_path / name
     path.write_text(json.dumps({"table": ORTHO3_DOC, **extra}))
@@ -531,13 +545,7 @@ class TestCli:
         assert doc["largest_kept_sv"] == 0.0
         assert doc["smallest_dropped_sv"] is None
 
-    @pytest.mark.parametrize("command, extra, files", [
-        ("analyze", {}, ["analyze.json"]),
-        ("sufficiency", {"duration": 10.0, "start": {"q": [0.25, 0.25, 0.25], "v": [0.6, 0.64, 0.48]}},
-         ["sufficiency.json"]),
-        ("lyapunov", {"seed": 5, "duration": 20.0}, ["lyapunov.json"]),
-        ("survey", {"samples": 4, "duration": 5.0, "seed": 7}, ["survey.csv", "survey_summary.json"]),
-    ])
+    @pytest.mark.parametrize("command, extra, files", CLOSED_STDOUT_CASES)
     def test_files_written_before_a_closed_stdout(self, tmp_path, monkeypatch, command, extra, files):
         # As under `cylbilliards <command> ... | true`: the reader is gone
         # before the summary is printed, and every file must be there.
@@ -551,6 +559,23 @@ class TestCli:
         scen = _write_scenario(tmp_path, f"{command}.json", extra)
         out = tmp_path / "out"
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        with contextlib.suppress(BrokenPipeError):
-            main([command, "--scenario", scen, "--out", str(out)])
+        assert main([command, "--scenario", scen, "--out", str(out)]) == 0
+        assert all((out / name).stat().st_size > 0 for name in files)
+
+    @pytest.mark.parametrize("command, extra, files", CLOSED_STDOUT_CASES)
+    def test_closed_stdout_pipe_exits_ok(self, tmp_path, command, extra, files):
+        # A real pipe whose read end is closed, in a fresh interpreter: the
+        # summary and the interpreter's final flush both meet EPIPE.
+        scen = _write_scenario(tmp_path, f"{command}.json", extra)
+        out = tmp_path / "out"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(cylbilliards.__file__).parents[1]),
+                                                           os.environ.get("PYTHONPATH", "")]))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "cylbilliards.cli", command, "--scenario", scen,
+                                   "--out", str(out)], stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
         assert all((out / name).stat().st_size > 0 for name in files)
